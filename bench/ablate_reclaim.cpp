@@ -2,14 +2,15 @@
 //
 //   counted+freelist -- the paper's scheme (MsQueue): pool indices with
 //                       modification counters, Treiber free list.
-//   dwcas+freelist   -- same algorithm with 128-bit counted pointers
-//                       (MsQueueDw): the paper's other stated option.
+//   dwcas+freelist   -- the same MsQueue on the 128-bit cmpxchg16b word
+//                       (tagged::AtomicTagged128): the paper's other
+//                       stated option.
 //   hazard           -- hazard pointers + new/delete (MsQueueHp): the
 //                       modern successor, no counters needed.
 //
-// Reports real-thread throughput of the paper's loop at several thread
-// counts.  On this host threads are oversubscribed over one core, so this
-// measures the multiprogrammed regime.
+// Reports real-thread throughput of the paper's loop at 1, 2, 4 and 8
+// threads; thread counts above the host's core count measure the
+// multiprogrammed regime.
 #include <cstring>
 #include <iostream>
 
@@ -17,7 +18,6 @@
 #include "harness/driver.hpp"
 #include "harness/table.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/ms_queue_dwcas.hpp"
 #include "queues/ms_queue_hp.hpp"
 
 namespace {
@@ -57,7 +57,9 @@ int main(int argc, char** argv) {
       table.set(counted, pairs_per_second(q, threads, pairs));
     }
     {
-      msq::queues::MsQueueDw<std::uint64_t> q(threads * 4 + 64);
+      msq::queues::MsQueue<std::uint64_t, msq::sync::Backoff, msq::mem::FreeList,
+                           msq::tagged::AtomicTagged128>
+          q(threads * 4 + 64);
       table.set(dwcas, pairs_per_second(q, threads, pairs));
     }
     {

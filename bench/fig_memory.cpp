@@ -1,4 +1,4 @@
-// Cross-queue memory-footprint family (ISSUE 10, EXPERIMENTS.md A10): the
+// Cross-queue memory-footprint family (EXPERIMENTS.md A10): the
 // quantitative side of the bounded-memory story that motivates the SCQ.
 //
 // Every queue in the library makes a different memory promise:
@@ -16,15 +16,12 @@
 //   scq     fixed data array + two 2n index rings allocated at
 //           construction; full stop at capacity, and lock-free in both
 //           directions (the bounded-memory + non-blocking combination the
-//           other five each give up half of).
+//           other four each give up half of).
 //   valois  reference-counted pool: one delayed reader holding a SafeRead
 //           reference pins every subsequently dequeued node (paper
 //           section 1 -- "we ran out of memory several times... using a
 //           free list initialized with 64,000 nodes"), so bounded
 //           OCCUPANCY still exhausts an arbitrarily large pool.
-//   wfq     pool-backed like msq, plus wait-free helping; helping bounds
-//           STEPS, not memory -- a slow consumer grows occupancy just the
-//           same.
 //
 // Two scenarios per queue, one producer + one consumer each:
 //
@@ -33,7 +30,7 @@
 //           well-behaved bounded workload pays per queued element.
 //   stall   the consumer is slowed -- via the fault layer's sticky-victim
 //           stall sites where the algorithm has a consumer-only window
-//           (ms.D12 / segq.faa_deq / scq.deq / wfq.claim), via a plain
+//           (ms.D12 / segq.faa_deq / scq.deq), via a plain
 //           harness sleep for the two queues without such a site (msq_hp,
 //           ring: the slow consumer is the SCENARIO here, not a window
 //           inside an operation), and via the paper's delayed SafeRead
@@ -58,9 +55,9 @@
 //                   the paper's free-list size)
 //   --stall-us D    consumer stall per sticky hit, microseconds
 //                   (default 2000; one hit in 128 stalls)
-//   --only NAME     run one family (msq/msq_hp/segq/ring/scq/valois/wfq);
-//                   `valois_memory` is exactly this bench with
-//                   --only valois injected (the retired A4 driver)
+//   --only NAME     run one family (msq/msq_hp/segq/ring/scq/valois);
+//                   --only valois is the paper's Valois memory-exhaustion
+//                   run (EXPERIMENTS.md A4)
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -220,7 +217,7 @@ std::uint64_t allocation_ceiling(Q& queue, std::uint32_t cap_request) {
   } else if constexpr (requires { queue.pool().capacity(); }) {
     return queue.pool().capacity();  // valois
   } else if constexpr (std::is_constructible_v<Q, std::uint32_t>) {
-    return cap_request + 1;  // msq, wfq: capacity items + the dummy
+    return cap_request + 1;  // msq: capacity items + the dummy
   } else {
     return 0;  // msq_hp: heap-allocated, no ceiling to run into
   }
@@ -341,8 +338,6 @@ std::vector<Family> make_families() {
        &run_family<queues::ScqQueue<uint64_t>>},
       {"valois", false, StallMode::kDelayedReader, nullptr,
        &run_family<queues::ValoisQueue<uint64_t>>},
-      {"wfq", false, StallMode::kFaultSite, "wfq.claim",
-       &run_family<queues::WfQueue<uint64_t>>},
   };
 }
 
@@ -353,7 +348,7 @@ bool extract_only(int& argc, char** argv, std::string& out) {
     if (std::strcmp(argv[i], "--only") != 0) continue;
     if (i + 1 >= argc) {
       std::cerr << "--only needs a family name "
-                   "(msq/msq_hp/segq/ring/scq/valois/wfq)\n";
+                   "(msq/msq_hp/segq/ring/scq/valois)\n";
       return false;
     }
     out = argv[i + 1];
@@ -517,7 +512,7 @@ int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
 }  // namespace
 }  // namespace msq::bench
 
-int fig_memory_main(int argc, char** argv) {
+int main(int argc, char** argv) {
   std::string only;
   std::uint64_t occupancy = 12;    // the paper's experiment
   std::uint64_t capacity = 64'000;  // the paper's free-list size
@@ -543,7 +538,3 @@ int fig_memory_main(int argc, char** argv) {
   mc.stall_us = stall_us;
   return msq::bench::run(config, mc, only);
 }
-
-#ifndef FIG_MEMORY_NO_MAIN
-int main(int argc, char** argv) { return fig_memory_main(argc, argv); }
-#endif

@@ -1,5 +1,6 @@
-// Tail latency under a stalled thread (ISSUE 7, EXPERIMENTS.md A7): the
-// experiment the wait-free helping queue exists for.
+// Tail latency under a stalled thread (EXPERIMENTS.md A7): what one
+// delayed thread does to item sojourn in the lock-free MS queue, the FAA
+// segment queue and the sharded front end.
 //
 // One thread -- the fault layer's sticky victim -- sleeps a fixed duration
 // every time it reaches its queue's critical CAS window (the paper's
@@ -34,12 +35,6 @@
 //   shard4 the sharded front end isolates THROUGHPUT (other producers'
 //          shards flow on), but the victim's own item still waits out the
 //          stall inside its shard.
-//   wfq    the victim ANNOUNCED its operation before entering the link
-//          window, so any other thread completes it while the victim
-//          sleeps: p99.9 stays near the unstalled baseline once there is
-//          at least one helper (procs >= 2; a lone thread has no helpers
-//          and its own sleep is unavoidable -- wait-freedom bounds steps,
-//          not naps).
 //
 // Series are named "<algo>+stall<D>us", one full procs sweep each (schema
 // msq-bench-v1; the per-point p99_ns/p999_ns fields are validated by
@@ -52,7 +47,7 @@
 // --json) plus
 //   --stalls D1,D2,...   stall durations in MICROSECONDS (default
 //                        0,1000; 0 = unstalled baseline; up to 10000)
-//   --only NAME          run a single variant (msq/segq/shard4/wfq);
+//   --only NAME          run a single variant (msq/segq/shard4);
 //                        bisection and CI smoke runs
 #include <chrono>
 #include <cstdint>
@@ -157,7 +152,6 @@ std::vector<Variant> make_variants() {
       {"segq", "segq.faa_enq", &run_stall<queues::SegmentQueue<std::uint64_t>>},
       {"shard4", "ms.E9",
        &run_stall<queues::ShardedQueue<queues::MsQueue<std::uint64_t>, 4>>},
-      {"wfq", "wfq.link", &run_stall<queues::WfQueue<std::uint64_t>>},
   };
 }
 
@@ -167,7 +161,7 @@ bool extract_only(int& argc, char** argv, std::string& out) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--only") != 0) continue;
     if (i + 1 >= argc) {
-      std::cerr << "--only needs a variant name (msq/segq/shard4/wfq)\n";
+      std::cerr << "--only needs a variant name (msq/segq/shard4)\n";
       return false;
     }
     out = argv[i + 1];

@@ -3,8 +3,8 @@
 // Measures, for every queue in the library:
 //   * uncontended enqueue/dequeue pair latency (the "one processor" end of
 //     Figure 3, where the paper notes the single lock is slightly fastest);
-//   * multi-threaded pair throughput (contended; on this one-core host this
-//     is the preempted/multiprogrammed regime);
+//   * multi-threaded pair throughput (contended: 4 threads, so on fewer
+//     than 4 cores this is the preempted/multiprogrammed regime);
 //   * the empty<->nonempty transition (A5): the special case earlier
 //     algorithms got wrong, exercised a pair at a time on an empty queue.
 #include <benchmark/benchmark.h>
@@ -16,10 +16,8 @@
 
 namespace {
 
-using msq::queues::FunctionShippingQueue;
 using msq::queues::MellorCrummeyQueue;
 using msq::queues::MsQueue;
-using msq::queues::MsQueueDw;
 using msq::queues::MsQueueHp;
 using msq::queues::PljQueue;
 using msq::queues::RingQueue;
@@ -30,7 +28,10 @@ using msq::queues::SpscRing;
 using msq::queues::TreiberStack;
 using msq::queues::TwoLockQueue;
 using msq::queues::ValoisQueue;
-using msq::queues::WfQueue;
+
+// Figure 1 on the 128-bit cmpxchg16b counted word (ablation A3).
+using MsQueueWide = MsQueue<std::uint64_t, msq::sync::Backoff, msq::mem::FreeList,
+                            msq::tagged::AtomicTagged128>;
 
 template <typename Q>
 struct Make {
@@ -58,7 +59,7 @@ void BM_UncontendedPair(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueueDw<std::uint64_t>);
+BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueueWide);
 BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueueHp<std::uint64_t>);
 BENCHMARK_TEMPLATE(BM_UncontendedPair, TwoLockQueue<std::uint64_t>);
 BENCHMARK_TEMPLATE(BM_UncontendedPair, SingleLockQueue<std::uint64_t>);
@@ -67,16 +68,12 @@ BENCHMARK_TEMPLATE(BM_UncontendedPair, RingQueue<std::uint64_t>);
 BENCHMARK_TEMPLATE(BM_UncontendedPair, PljQueue<std::uint64_t>);
 BENCHMARK_TEMPLATE(BM_UncontendedPair, ValoisQueue<std::uint64_t>);
 BENCHMARK_TEMPLATE(BM_UncontendedPair, SegmentQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, FunctionShippingQueue<std::uint64_t>);
 // Sharded front end: the single-thread numbers price the ticket overhead
 // (one extra fetch_add per enqueue over the inner queue alone).
 BENCHMARK_TEMPLATE(BM_UncontendedPair,
                    ShardedQueue<MsQueue<std::uint64_t>, 4>);
 BENCHMARK_TEMPLATE(BM_UncontendedPair,
                    ShardedQueue<SegmentQueue<std::uint64_t>, 4>);
-// Wait-free helping wrapper: the single-thread number prices the
-// announcement (16-byte CAS + slot sweep) against the bare MS queue.
-BENCHMARK_TEMPLATE(BM_UncontendedPair, WfQueue<std::uint64_t>);
 
 // --- contended pair throughput ----------------------------------------------
 
@@ -96,7 +93,7 @@ void BM_ContendedPairs(benchmark::State& state) {
   }
 }
 BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueueDw<std::uint64_t>)->Threads(4)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueueWide)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueueHp<std::uint64_t>)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPairs, TwoLockQueue<std::uint64_t>)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPairs, SingleLockQueue<std::uint64_t>)->Threads(4)->UseRealTime();
@@ -105,17 +102,12 @@ BENCHMARK_TEMPLATE(BM_ContendedPairs, RingQueue<std::uint64_t>)->Threads(4)->Use
 BENCHMARK_TEMPLATE(BM_ContendedPairs, PljQueue<std::uint64_t>)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPairs, ValoisQueue<std::uint64_t>)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPairs, SegmentQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, FunctionShippingQueue<std::uint64_t>)->Threads(4)->UseRealTime();
 // Sharding pays off exactly here: 4 threads spread over 4 shards touch
-// almost-disjoint cache lines (ISSUE 6 acceptance comparison vs bare segq).
+// almost-disjoint cache lines (compare against bare segq above).
 BENCHMARK_TEMPLATE(BM_ContendedPairs,
                    ShardedQueue<MsQueue<std::uint64_t>, 4>)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPairs,
                    ShardedQueue<SegmentQueue<std::uint64_t>, 4>)->Threads(4)->UseRealTime();
-// Contended helping: threads complete each other's announced operations,
-// so throughput prices the helping sweeps fig_stall buys latency with.
-BENCHMARK_TEMPLATE(BM_ContendedPairs,
-                   WfQueue<std::uint64_t>)->Threads(4)->UseRealTime();
 
 // --- A5: empty<->nonempty transition ----------------------------------------
 
@@ -142,9 +134,6 @@ BENCHMARK_TEMPLATE(BM_EmptyTransition, SegmentQueue<std::uint64_t>);
 BENCHMARK_TEMPLATE(BM_EmptyTransition, ShardedQueue<MsQueue<std::uint64_t>, 4>);
 BENCHMARK_TEMPLATE(BM_EmptyTransition,
                    ShardedQueue<SegmentQueue<std::uint64_t>, 4>);
-// The wf empty verdict is a full announce + help sweep ending in a
-// phase-guarded kEmpty CAS -- the priciest empty path in the library.
-BENCHMARK_TEMPLATE(BM_EmptyTransition, WfQueue<std::uint64_t>);
 
 // --- related structures -------------------------------------------------------
 

@@ -1,8 +1,8 @@
-// Open-loop production-traffic scenario suite (ISSUE 8, EXPERIMENTS.md A8).
+// Open-loop production-traffic scenario suite (EXPERIMENTS.md A8).
 //
 // Runs the src/scenario presets (steady / ramp / burst100 / hotskew /
-// worksteal) against the queue families (msq / segq / shard4 / wfq /
-// ring), open-loop: producers pace a pre-generated virtual-time arrival
+// worksteal) against the queue families (msq / segq / shard4 / ring),
+// open-loop: producers pace a pre-generated virtual-time arrival
 // schedule, consumers drain with a per-item service cost, bounded-queue
 // refusals go through the shed-or-retry policy, and every sojourn sample
 // is measured from the op's SCHEDULED arrival (coordinated-omission-safe;
@@ -101,7 +101,6 @@ std::vector<Family> make_families() {
       {"msq", &run_family<queues::MsQueue<std::uint64_t>>},
       {"segq", &run_family<Seg>},
       {"shard4", &run_family<queues::ShardedQueue<Seg, 4>>},
-      {"wfq", &run_family<queues::WfQueue<std::uint64_t>>},
       {"ring", &run_family<queues::RingQueue<std::uint64_t>>},
   };
 }

@@ -7,7 +7,10 @@
 // node is either in the queue or in the free list, never both), and the
 // counted top pointer defends against ABA exactly as Head/Tail do.
 //
-// Node requirements: a member `next` of type tagged::AtomicTagged.
+// Node requirements: a member `next` of a counted-word type --
+// tagged::AtomicTagged (64-bit) or tagged::AtomicTagged128 (cmpxchg16b).
+// The list's top is the same word type, so the link-tag discipline below
+// holds for whichever word the queue above it chose.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,10 @@ namespace msq::mem {
 template <typename Node>
 class FreeList {
  public:
+  /// The counted word (atomic cell) and the counted value it holds.
+  using Word = decltype(Node::next);
+  using Link = tagged::ValueOf<Word>;
+
   /// Builds a free list containing every node of `pool`.
   explicit FreeList(NodePool<Node>& pool) : pool_(pool) {
     for (std::uint32_t i = 0; i < pool.capacity(); ++i) {
@@ -38,12 +45,12 @@ class FreeList {
   /// steps; a retry implies another thread completed a push or pop.
   [[nodiscard]] std::uint32_t try_allocate() noexcept {
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire);
       if (top.is_null()) {
         MSQ_COUNT(kPoolRefuse);
         return tagged::kNullIndex;
       }
-      const tagged::TaggedIndex next = pool_[top.index()].next.load(std::memory_order_acquire);
+      const Link next = pool_[top.index()].next.load(std::memory_order_acquire);
       if (top_.compare_and_swap(top, top.successor(next.index()), std::memory_order_acq_rel)) {
         MSQ_COUNT(kPoolGet);
         MSQ_POOL_GAUGE(1);
@@ -62,13 +69,13 @@ class FreeList {
   [[nodiscard]] std::uint32_t try_allocate_batch(std::uint32_t* out,
                                                 std::uint32_t max) noexcept {
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire);
       if (top.is_null()) {
         MSQ_COUNT(kPoolRefuse);
         return 0;
       }
       std::uint32_t n = 0;
-      tagged::TaggedIndex it = top;
+      Link it = top;
       while (n < max && !it.is_null()) {
         out[n++] = it.index();
         it = pool_[it.index()].next.load(std::memory_order_acquire);
@@ -106,11 +113,11 @@ class FreeList {
     // Tag monotonicity (see push): bump the tail's own count; the inner
     // chain links are the caller's writes and must bump likewise.
     // relaxed: the chain is private to the caller until the CAS publishes it (proof: mo-sweep:fl.push_link)
-    const std::uint32_t count =
+    const auto count =
         pool_[tail].next.load(std::memory_order_relaxed).count() + 1;
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
-      pool_[tail].next.store(tagged::TaggedIndex(top.index(), count),
+      const Link top = top_.load(std::memory_order_acquire);
+      pool_[tail].next.store(Link(top.index(), count),
                              std::memory_order_release);
       if (top_.compare_and_swap(top, top.successor(head), std::memory_order_acq_rel)) return;
       MSQ_COUNT(kPoolCasRetry);
@@ -121,7 +128,7 @@ class FreeList {
   /// memory-exhaustion experiment only -- the count is naturally racy.
   [[nodiscard]] std::size_t unsafe_size() const noexcept {
     std::size_t n = 0;
-    for (tagged::TaggedIndex it = top_.load(std::memory_order_acquire); !it.is_null();
+    for (Link it = top_.load(std::memory_order_acquire); !it.is_null();
          it = pool_[it.index()].next.load(std::memory_order_acquire)) {
       ++n;
     }
@@ -137,13 +144,13 @@ class FreeList {
     // stale link CAS succeed (the fig_stall wedge: a thread that slept
     // between reading tail->next and CASing it linked a freed node).
     // relaxed: the node is private to the caller until the CAS publishes it (proof: mo-sweep:fl.push_link)
-    const std::uint32_t count =
+    const auto count =
         pool_[index].next.load(std::memory_order_relaxed).count() + 1;
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire);
       // Link the node above the current top.  The node is private to us
       // here, so a plain store is enough.
-      pool_[index].next.store(tagged::TaggedIndex(top.index(), count),
+      pool_[index].next.store(Link(top.index(), count),
                               std::memory_order_release);
       if (top_.compare_and_swap(top, top.successor(index), std::memory_order_acq_rel)) return;
       MSQ_COUNT(kPoolCasRetry);
@@ -153,7 +160,7 @@ class FreeList {
   NodePool<Node>& pool_;
   // The hottest word of every pool-backed queue; on its own cache line so
   // allocator traffic never false-shares with the pool reference above.
-  alignas(port::kCacheLine) tagged::AtomicTagged top_;
+  alignas(port::kCacheLine) Word top_;
 };
 
 namespace detail {

@@ -181,8 +181,8 @@ class MagazineAllocator {
       // lifetime bumps its count, or recycling would replay old counts.
       // relaxed: the chain is private to this slot until free_chain's CAS (proof: test:tests/mem_test.cpp)
       auto& next = pool_[s.items[i]].next;
-      const std::uint32_t c = next.load(std::memory_order_relaxed).count() + 1;
-      next.store(tagged::TaggedIndex(s.items[i + 1], c),
+      const auto c = next.load(std::memory_order_relaxed).count() + 1;
+      next.store(typename FreeList<Node>::Link(s.items[i + 1], c),
                  std::memory_order_release);
     }
     list_.free_chain(s.items[keep], s.items[s.count - 1]);

@@ -45,85 +45,63 @@
 
 namespace msq::obs {
 
-/// The counter registry.  Names follow the probe-naming convention in
-/// docs/ALGORITHMS.md: a counter records *events of one mechanism*, summed
-/// over all sites that exhibit it, so curves stay comparable across
-/// algorithms.
+/// The counter registry: the ONE list of counter names.  Each entry is
+/// X(enumerator, "report name") with the mechanism it counts beside it;
+/// the enum, kAllCounters, counter_name and kCounterCount all expand from
+/// it, and tools/check_bench_json.py reads the names from this list too.
+/// Names follow the probe-naming convention in docs/ALGORITHMS.md: a
+/// counter records *events of one mechanism*, summed over all sites that
+/// exhibit it, so curves stay comparable across algorithms.
+#define MSQ_COUNTERS(X)                                                      \
+  X(kEnqueue, "enqueue")            /* completed enqueue/push operations */  \
+  X(kDequeue, "dequeue")            /* completed dequeue/pop (non-empty) */  \
+  X(kDequeueEmpty, "dequeue_empty") /* dequeues that observed empty */       \
+  X(kCasAttempt, "cas_attempt")     /* linearizing CAS attempts (E9/D12) */  \
+  X(kCasFail, "cas_fail")           /* ... of which failed (lost the race) */ \
+  X(kBackoffWait, "backoff_wait")   /* cpu_relax() spins inside backoff */   \
+  X(kLockAcquire, "lock_acquire")   /* lock() acquisitions */                \
+  X(kLockSpin, "lock_spin")         /* spins while the lock was held */      \
+  X(kPoolGet, "pool_get")           /* successful node-pool allocations */   \
+  X(kPoolRefuse, "pool_refuse")     /* pool-exhausted allocation failures */ \
+  X(kExploreRun, "explore_run")     /* schedules run by the sim explorers */ \
+  X(kExploreSkip, "explore_skip")   /* degenerate schedules skipped */       \
+  X(kRaceReport, "race_report")     /* happens-before violations reported */ \
+  X(kPoolCasRetry, "pool_cas_retry") /* failed CASes on the free-list top */ \
+  X(kSegClose, "seg_close")         /* segments closed and appended */       \
+  X(kMagHit, "mag_hit")             /* allocations served by a magazine */   \
+  X(kMagRefill, "mag_refill")       /* magazine refills (batch pops) */      \
+  X(kMagFlush, "mag_flush")         /* magazine flushes (batch pushes) */    \
+  X(kShardHit, "shard_hit")         /* dequeues served by the home shard */  \
+  X(kShardSteal, "shard_steal")     /* dequeues stolen from another shard */ \
+  X(kShardRehome, "shard_rehome")   /* producer re-homed off full shards */  \
+  X(kEmptyRescan, "empty_rescan")   /* empty sweeps re-run (ticket moved) */ \
+  X(kQueueFull, "queue_full")       /* bounded-capacity enqueue refusals */  \
+  X(kShedRetry, "shed_retry")       /* open-loop retries after a refusal */  \
+  X(kShed, "shed")                  /* open-loop ops dropped after retries */ \
+  X(kScqCatchup, "scq_catchup")     /* SCQ dequeuer caught a lagging tail */ \
+  X(kScqThresholdReset, "scq_threshold_reset") /* SCQ re-armed 3n-1 */
+
 enum class Counter : std::uint32_t {
-  kEnqueue,       // completed enqueue/push operations
-  kDequeue,       // completed dequeue/pop operations (non-empty)
-  kDequeueEmpty,  // dequeue/pop attempts that observed an empty container
-  kCasAttempt,    // linearizing CAS attempts (the labelled E9/D12-class sites)
-  kCasFail,       // ... of which failed (lost the race; paper's retry cost)
-  kBackoffWait,   // cpu_relax() spins executed inside backoff episodes
-  kLockAcquire,   // lock() acquisitions
-  kLockSpin,      // spin iterations while the lock was observed held
-  kPoolGet,       // successful node-pool allocations
-  kPoolRefuse,    // pool-exhausted allocation failures
-  kExploreRun,    // schedules actually executed by the sim explorers
-  kExploreSkip,   // degenerate schedules skipped (identical to one already run)
-  kRaceReport,    // happens-before violations reported by the race detector
-  kPoolCasRetry,  // failed CASes on the global free-list top (contention cost)
-  kSegClose,      // segment-queue segments closed and appended (amortised CAS)
-  kMagHit,        // allocations served from a thread-local magazine
-  kMagRefill,     // magazine refills from the global free list (batch pops)
-  kMagFlush,      // magazine flushes back to the free list (batch pushes)
-  kShardHit,      // sharded dequeues served by the consumer's home shard
-  kShardSteal,    // sharded dequeues stolen from a non-home shard
-  kShardRehome,   // producer hint re-homed after repeated full shards
-  kEmptyRescan,   // empty sweeps re-run because a shard ticket moved
-  kWfHelp,        // wait-free helping episodes (another slot's op completed)
-  kQueueFull,     // bounded-capacity enqueue refusals (ring full, not pool)
-  kShedRetry,     // open-loop producer retries after an enqueue refusal
-  kShed,          // open-loop offered ops dropped after the retry budget
-  kScqCatchup,    // SCQ dequeuer CAS'd a lagging tail forward to head+1
-  kScqThresholdReset,  // SCQ enqueue re-armed the dequeue threshold (3n-1)
+#define MSQ_COUNTER_ENUM(id, name) id,
+  MSQ_COUNTERS(MSQ_COUNTER_ENUM)
+#undef MSQ_COUNTER_ENUM
 };
 
-inline constexpr std::size_t kCounterCount = 28;
+inline constexpr std::array kAllCounters = {
+#define MSQ_COUNTER_ALL(id, name) Counter::id,
+    MSQ_COUNTERS(MSQ_COUNTER_ALL)
+#undef MSQ_COUNTER_ALL
+};
 
-inline constexpr std::array<Counter, kCounterCount> kAllCounters = {
-    Counter::kEnqueue,      Counter::kDequeue,    Counter::kDequeueEmpty,
-    Counter::kCasAttempt,   Counter::kCasFail,    Counter::kBackoffWait,
-    Counter::kLockAcquire,  Counter::kLockSpin,   Counter::kPoolGet,
-    Counter::kPoolRefuse,   Counter::kExploreRun, Counter::kExploreSkip,
-    Counter::kRaceReport,   Counter::kPoolCasRetry, Counter::kSegClose,
-    Counter::kMagHit,       Counter::kMagRefill,  Counter::kMagFlush,
-    Counter::kShardHit,     Counter::kShardSteal, Counter::kShardRehome,
-    Counter::kEmptyRescan,  Counter::kWfHelp,     Counter::kQueueFull,
-    Counter::kShedRetry,    Counter::kShed,       Counter::kScqCatchup,
-    Counter::kScqThresholdReset};
+inline constexpr std::size_t kCounterCount = kAllCounters.size();
 
 [[nodiscard]] constexpr const char* counter_name(Counter c) noexcept {
   switch (c) {
-    case Counter::kEnqueue:      return "enqueue";
-    case Counter::kDequeue:      return "dequeue";
-    case Counter::kDequeueEmpty: return "dequeue_empty";
-    case Counter::kCasAttempt:   return "cas_attempt";
-    case Counter::kCasFail:      return "cas_fail";
-    case Counter::kBackoffWait:  return "backoff_wait";
-    case Counter::kLockAcquire:  return "lock_acquire";
-    case Counter::kLockSpin:     return "lock_spin";
-    case Counter::kPoolGet:      return "pool_get";
-    case Counter::kPoolRefuse:   return "pool_refuse";
-    case Counter::kExploreRun:   return "explore_run";
-    case Counter::kExploreSkip:  return "explore_skip";
-    case Counter::kRaceReport:   return "race_report";
-    case Counter::kPoolCasRetry: return "pool_cas_retry";
-    case Counter::kSegClose:     return "seg_close";
-    case Counter::kMagHit:       return "mag_hit";
-    case Counter::kMagRefill:    return "mag_refill";
-    case Counter::kMagFlush:     return "mag_flush";
-    case Counter::kShardHit:     return "shard_hit";
-    case Counter::kShardSteal:   return "shard_steal";
-    case Counter::kShardRehome:  return "shard_rehome";
-    case Counter::kEmptyRescan:  return "empty_rescan";
-    case Counter::kWfHelp:       return "wf_help";
-    case Counter::kQueueFull:    return "queue_full";
-    case Counter::kShedRetry:    return "shed_retry";
-    case Counter::kShed:         return "shed";
-    case Counter::kScqCatchup:   return "scq_catchup";
-    case Counter::kScqThresholdReset: return "scq_threshold_reset";
+#define MSQ_COUNTER_NAME(id, name) \
+  case Counter::id:                \
+    return name;
+    MSQ_COUNTERS(MSQ_COUNTER_NAME)
+#undef MSQ_COUNTER_NAME
   }
   return "?";
 }

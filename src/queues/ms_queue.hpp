@@ -1,7 +1,11 @@
 // The non-blocking concurrent queue of Michael & Scott -- the paper's
-// primary contribution (Figure 1), in the single-word counted-pointer
-// formulation (32-bit pool index + 32-bit modification counter packed into
-// one 64-bit word; the paper's suggested alternative to double-word CAS).
+// primary contribution (Figure 1), with counted pointers.  The counted word
+// is a template parameter covering both options the paper names for the
+// ABA defence: by default a 32-bit pool index + 32-bit modification
+// counter packed into one 64-bit word (the single-word alternative), or
+// tagged::AtomicTagged128, the same index with a 64-bit counter CASed with
+// cmpxchg16b (double-word CAS).  One body serves both, so a fix to the
+// algorithm or to the free list reaches both words at once.
 //
 // Structure: a singly-linked list with Head and Tail counted pointers.
 // Head always points to a dummy node (the first node in the list); Tail
@@ -25,6 +29,7 @@
 #include "queues/queue_concept.hpp"
 #include "sync/backoff.hpp"
 #include "tagged/atomic_tagged.hpp"
+#include "tagged/atomic_tagged128.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::queues {
@@ -35,9 +40,15 @@ namespace msq::queues {
 /// selects the node allocator: the paper's plain Treiber free list by
 /// default, or mem::MagazineAllocator for the magazine ablation
 /// (bench/ablate_magazine.cpp) -- same pool, batched refills/flushes.
+/// `Word` is the counted word of Head, Tail and every link:
+/// tagged::AtomicTagged (64-bit) or tagged::AtomicTagged128 (cmpxchg16b,
+/// bench/ablate_reclaim.cpp); the free list takes it from Node::next.
 template <typename T, typename BackoffPolicy = sync::Backoff,
-          template <typename> class Alloc = mem::FreeList>
+          template <typename> class Alloc = mem::FreeList,
+          typename Word = tagged::AtomicTagged>
 class MsQueue {
+  using Link = tagged::ValueOf<Word>;
+
  public:
   using value_type = T;
   static constexpr QueueTraits traits{
@@ -54,9 +65,9 @@ class MsQueue {
     // initialize(Q): node = new_node(); node->next.ptr = NULL;
     //                Q->Head = Q->Tail = node
     const std::uint32_t dummy = freelist_.try_allocate();
-    pool_[dummy].next.store(tagged::TaggedIndex{}, std::memory_order_release);
-    head_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
-    tail_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
+    pool_[dummy].next.store(Link{}, std::memory_order_release);
+    head_.value.store(Link(dummy, 0), std::memory_order_release);
+    tail_.value.store(Link(dummy, 0), std::memory_order_release);
   }
 
   MsQueue(const MsQueue&) = delete;
@@ -74,16 +85,16 @@ class MsQueue {
     // can never succeed.  The paper's E3 resets the count; with a shared
     // free list that re-exposes old counts and voids the E7/E9 guard.
     pool_[node].value.put(value);
-    const tagged::TaggedIndex stale =
+    const Link stale =
         pool_[node].next.load(std::memory_order_acquire);
     pool_[node].next.store(
-        tagged::TaggedIndex(tagged::kNullIndex, stale.count() + 1),
+        Link(tagged::kNullIndex, stale.count() + 1),
         std::memory_order_release);
 
     BackoffPolicy backoff;
     for (;;) {  // E4: repeat
-      const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);       // E5
-      const tagged::TaggedIndex next = pool_[tail.index()].next.load(std::memory_order_acquire);  // E6
+      const Link tail = tail_.value.load(std::memory_order_acquire);       // E5
+      const Link next = pool_[tail.index()].next.load(std::memory_order_acquire);  // E6
       if (tail == tail_.value.load(std::memory_order_acquire)) {  // E7: are tail and next consistent?
         if (next.is_null()) {            // E8: was Tail pointing to the last node?
           // E9: try to link node at the end of the linked list
@@ -113,9 +124,9 @@ class MsQueue {
   bool try_dequeue(T& out) noexcept {
     BackoffPolicy backoff;
     for (;;) {  // D1: repeat
-      const tagged::TaggedIndex head = head_.value.load(std::memory_order_acquire);  // D2
-      const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);  // D3
-      const tagged::TaggedIndex next = pool_[head.index()].next.load(std::memory_order_acquire);  // D4
+      const Link head = head_.value.load(std::memory_order_acquire);  // D2
+      const Link tail = tail_.value.load(std::memory_order_acquire);  // D3
+      const Link next = pool_[head.index()].next.load(std::memory_order_acquire);  // D4
       if (head == head_.value.load(std::memory_order_acquire)) {      // D5: consistent?
         if (head.index() == tail.index()) {  // D6: empty or Tail falling behind?
           if (next.is_null()) {              // D7: is queue empty?
@@ -163,15 +174,15 @@ class MsQueue {
  private:
   struct Node {
     mem::ValueCell<T> value;
-    tagged::AtomicTagged next;
+    Word next;
   };
 
   mem::NodePool<Node> pool_;
   Alloc<Node> freelist_;
   // Head and Tail on separate cache lines: dequeuers and enqueuers must not
   // false-share (the two-lock queue's design rationale applies here too).
-  port::CacheAligned<tagged::AtomicTagged> head_;
-  port::CacheAligned<tagged::AtomicTagged> tail_;
+  port::CacheAligned<Word> head_;
+  port::CacheAligned<Word> tail_;
 };
 
 }  // namespace msq::queues

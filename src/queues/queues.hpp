@@ -1,8 +1,9 @@
 // Umbrella header: every queue and stack in the library.
 //
 //   Core contributions (Michael & Scott, PODC'96):
-//     MsQueue       -- non-blocking queue, counted pool indices (Figure 1)
-//     MsQueueDw     -- same algorithm, 128-bit counted pointers (cmpxchg16b)
+//     MsQueue       -- non-blocking queue, counted pool indices (Figure 1);
+//                      64-bit word by default, 128-bit (cmpxchg16b) as the
+//                      tagged::AtomicTagged128 word parameter
 //     TwoLockQueue  -- two-lock queue with dummy node (Figure 2)
 //   Evaluation baselines (paper section 4):
 //     SingleLockQueue     -- one lock around a plain list
@@ -18,14 +19,11 @@
 //     ScqQueue      -- bounded indirect SCQ ring (Nikolaev): lock-free,
 //                      memory bounded at exactly capacity + O(n) indices
 //     ShardedQueue  -- queue-of-queues front end with work-stealing dequeue
-//     WfQueue       -- wait-free announcement-helping wrapper over the core
 #pragma once
 
 #include "queues/mellor_crummey_queue.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/ms_queue_dwcas.hpp"
 #include "queues/ms_queue_hp.hpp"
-#include "queues/function_shipping_queue.hpp"
 #include "queues/plj_queue.hpp"
 #include "queues/queue_concept.hpp"
 #include "queues/ring_queue.hpp"
@@ -37,4 +35,3 @@
 #include "queues/treiber_stack.hpp"
 #include "queues/two_lock_queue.hpp"
 #include "queues/valois_queue.hpp"
-#include "queues/wf_queue.hpp"

@@ -13,7 +13,7 @@
 //     Nodes are freed only when no link or process references them -- which
 //     prevents ABA, but lets one delayed process pin an unbounded suffix of
 //     dequeued nodes (each unreclaimed node's outgoing link keeps its
-//     successor alive).  bench/valois_memory reproduces the paper's
+//     successor alive).  `fig_memory --only valois` reproduces the paper's
 //     exhaustion experiment ("we ran out of memory several times ... using a
 //     free list initialized with 64,000 nodes" with a <= 12-item queue).
 //

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <utility>
 
 #include "tagged/tagged_index.hpp"
 
@@ -69,5 +70,11 @@ class AtomicTagged {
 };
 
 static_assert(sizeof(AtomicTagged) == 8);
+
+/// The counted value a word type holds: TaggedIndex for AtomicTagged,
+/// TaggedIndex128 for AtomicTagged128.  Code generic over the word
+/// (MsQueue, FreeList) names its link values through this.
+template <typename Word>
+using ValueOf = decltype(std::declval<const Word&>().load(std::declval<std::memory_order>()));
 
 }  // namespace msq::tagged

@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "mem/magazine.hpp"
 #include "port/prng.hpp"
 #include "queues/queues.hpp"
 #include "sharded_oracle.hpp"
@@ -31,7 +32,7 @@ namespace {
 
 enum class Kind {
   kMs,
-  kMsDw,
+  kMsWide,  // Figure 1 on the 128-bit cmpxchg16b counted word
   kMsHp,
   kTwoLock,
   kSingleLock,
@@ -42,14 +43,17 @@ enum class Kind {
   kValois,
   kSeg,
   kSharded1,  // ShardedQueue<MsQueue, 1>: degenerate, still global FIFO
-  kWf,        // announcement-helping wait-free wrapper
+  kMsMag,     // Figure 1 over per-thread magazines (bench/ablate_magazine)
 };
 
-constexpr Kind kAllKinds[] = {Kind::kMs,   Kind::kMsDw,       Kind::kMsHp,
+constexpr Kind kAllKinds[] = {Kind::kMs,   Kind::kMsWide,     Kind::kMsHp,
                               Kind::kTwoLock, Kind::kSingleLock, Kind::kMc,
                               Kind::kRing, Kind::kScq,       Kind::kPlj,
                               Kind::kValois, Kind::kSeg,     Kind::kSharded1,
-                              Kind::kWf};
+                              Kind::kMsMag};
+
+template <typename Node>
+using Mag32 = mem::MagazineAllocator<Node, 32>;
 
 /// Type-erased adapter so the sweep can be a value-parameterised test
 /// (kind x seed) rather than 8 copies of the same code.
@@ -60,8 +64,12 @@ class AnyQueue {
       case Kind::kMs:
         impl_ = make<MsQueue<std::uint64_t>>(capacity);
         break;
-      case Kind::kMsDw:
-        impl_ = make<MsQueueDw<std::uint64_t>>(capacity);
+      case Kind::kMsWide:
+        impl_ = make<MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                             tagged::AtomicTagged128>>(capacity);
+        break;
+      case Kind::kMsMag:
+        impl_ = make<MsQueue<std::uint64_t, sync::Backoff, Mag32>>(capacity);
         break;
       case Kind::kMsHp:
         impl_ = std::make_unique<Model<MsQueueHp<std::uint64_t>>>(
@@ -93,9 +101,6 @@ class AnyQueue {
         break;
       case Kind::kSharded1:
         impl_ = make<ShardedQueue<MsQueue<std::uint64_t>, 1>>(capacity);
-        break;
-      case Kind::kWf:
-        impl_ = make<WfQueue<std::uint64_t>>(capacity);
         break;
     }
   }

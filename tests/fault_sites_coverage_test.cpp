@@ -8,11 +8,10 @@
 // instrumentation that LOOKS like a proven fault window.
 //
 // The single-thread sites fire on the ordinary operation path and need
-// only a hit count.  The contested sites (segq.kill, wfq.slot_wait,
-// wfq.help_wait) are staged deterministically with halt rules: park a
-// victim inside the window, drive a peer through the code that can only
-// run because the victim is wedged there, then resurrect everyone and
-// check conservation.
+// only a hit count.  The contested site (segq.kill) is staged
+// deterministically with halt rules: park a victim inside the window,
+// drive a peer through the code that can only run because the victim is
+// wedged there, then resurrect everyone and check conservation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,18 +56,22 @@ TEST(FaultSiteCoverage, MsHeadSwingWindowIsReachable) {
   EXPECT_GT(plan.hits("ms.D12"), 0u);
 }
 
-TEST(FaultSiteCoverage, MsDwcasLinkAndHeadSwingWindowsAreReachable) {
-  queues::MsQueueDw<std::uint64_t> queue(8);
+// The 128-bit word is a template argument of the same Figure 1 code, so it
+// must reach the same labelled link and head-swing windows.
+TEST(FaultSiteCoverage, MsWideWordLinkAndHeadSwingWindowsAreReachable) {
+  queues::MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                  tagged::AtomicTagged128>
+      queue(8);
   fault::FaultPlan plan;
-  plan.delay_at("msdw.E9", /*yields=*/1);
-  plan.delay_at("msdw.D12", /*yields=*/1);
+  plan.delay_at("ms.E9", /*yields=*/1);
+  plan.delay_at("ms.D12", /*yields=*/1);
   plan.arm();
   EXPECT_TRUE(queue.try_enqueue(1));
   std::uint64_t out = 0;
   EXPECT_TRUE(queue.try_dequeue(out));
   plan.disarm();
-  EXPECT_GT(plan.hits("msdw.E9"), 0u);
-  EXPECT_GT(plan.hits("msdw.D12"), 0u);
+  EXPECT_GT(plan.hits("ms.E9"), 0u);
+  EXPECT_GT(plan.hits("ms.D12"), 0u);
 }
 
 TEST(FaultSiteCoverage, McSwapToLinkWindowIsReachable) {
@@ -113,24 +116,6 @@ TEST(FaultSiteCoverage, SegmentCloseAndSwingHeadWindowsAreReachable) {
   EXPECT_GT(plan.hits("segq.swing_head"), 0u);
 }
 
-// The wait-free queue's owner loop always runs at least one helping round
-// before its own announcement resolves, so the wait sites fire even with
-// no peer in sight.
-TEST(FaultSiteCoverage, WfOwnerWaitWindowsAreReachable) {
-  queues::WfQueue<std::uint64_t> queue(64);
-  fault::FaultPlan plan;
-  plan.delay_at("wfq.enq_wait", /*yields=*/1);
-  plan.delay_at("wfq.deq_wait", /*yields=*/1);
-  plan.arm();
-  EXPECT_TRUE(queue.try_enqueue(5));
-  std::uint64_t out = 0;
-  EXPECT_TRUE(queue.try_dequeue(out));
-  EXPECT_EQ(out, 5u);
-  plan.disarm();
-  EXPECT_GT(plan.hits("wfq.enq_wait"), 0u);
-  EXPECT_GT(plan.hits("wfq.deq_wait"), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Contested sites: a parked victim opens the window for a peer.
 // ---------------------------------------------------------------------------
@@ -168,65 +153,6 @@ TEST(FaultSiteCoverage, SegmentKillWindowIsReachable) {
   plan.disarm();
   EXPECT_TRUE(queue.try_dequeue(out));
   EXPECT_EQ(out, 2u);
-  EXPECT_FALSE(queue.try_dequeue(out));
-}
-
-// wfq.help_wait fires in the helping sweep when a peer's announcement is
-// pending at a lower phase: park the announcer and any later operation
-// must help it to completion behind its back.
-TEST(FaultSiteCoverage, WfHelpWaitWindowIsReachable) {
-  fault::Watchdog watchdog(60s, "wfq.help_wait fault-site coverage");
-  queues::WfQueue<std::uint64_t> queue(64);
-  fault::FaultPlan plan;
-  plan.halt_at("wfq.announce");
-  plan.arm();
-  std::thread victim([&] { EXPECT_TRUE(queue.try_enqueue(11)); });
-  plan.wait_for_halted(1);
-
-  EXPECT_TRUE(queue.try_enqueue(22));
-  EXPECT_GT(plan.hits("wfq.help_wait"), 0u)
-      << "the later enqueue must sweep the parked announcement";
-
-  plan.release_halted();
-  victim.join();
-  plan.disarm();
-  // FIFO: the victim's announcement held the earlier phase.
-  std::uint64_t out = 0;
-  EXPECT_TRUE(queue.try_dequeue(out));
-  EXPECT_EQ(out, 11u);
-  EXPECT_TRUE(queue.try_dequeue(out));
-  EXPECT_EQ(out, 22u);
-  EXPECT_FALSE(queue.try_dequeue(out));
-}
-
-// wfq.slot_wait fires when every descriptor slot is busy.  Shrink the
-// queue to two slots, park two announcers holding them, and a third
-// operation must spin in acquire_slot until a slot frees.
-TEST(FaultSiteCoverage, WfSlotWaitWindowIsReachable) {
-  fault::Watchdog watchdog(60s, "wfq.slot_wait fault-site coverage");
-  queues::WfQueue<std::uint64_t, /*kSlots=*/2> queue(64);
-  fault::FaultPlan plan;
-  plan.halt_at("wfq.announce", /*skip=*/0, /*victims=*/2);
-  plan.arm();
-  std::thread v0([&] { EXPECT_TRUE(queue.try_enqueue(1)); });
-  std::thread v1([&] { EXPECT_TRUE(queue.try_enqueue(2)); });
-  plan.wait_for_halted(2);
-
-  std::thread third([&] { EXPECT_TRUE(queue.try_enqueue(3)); });
-  while (plan.hits("wfq.slot_wait") == 0) std::this_thread::yield();
-  EXPECT_GT(plan.hits("wfq.slot_wait"), 0u);
-
-  plan.release_halted();
-  v0.join();
-  v1.join();
-  third.join();
-  plan.disarm();
-  std::uint64_t out = 0, sum = 0;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(queue.try_dequeue(out));
-    sum += out;
-  }
-  EXPECT_EQ(sum, 6u);
   EXPECT_FALSE(queue.try_dequeue(out));
 }
 

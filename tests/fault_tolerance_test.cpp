@@ -405,9 +405,21 @@ TEST(TreiberCrashSweep, SurvivorsCompleteAtEveryCrashStepOfAPush) {
 // 3. Real threads: FaultPlan halts + Watchdog deadlines
 // ---------------------------------------------------------------------------
 
-TEST(RealThreadFaults, MsQueueSurvivorsCompleteWhileVictimHaltedAtE13) {
+// Figure 1 on both counted words: the default 64-bit word and the 128-bit
+// cmpxchg16b word.  Same body, same fault sites, so every case below runs
+// once per word.
+template <typename Q>
+class MsQueueFaults : public ::testing::Test {};
+
+using MsQueueWords = ::testing::Types<
+    queues::MsQueue<std::uint64_t>,
+    queues::MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                    tagged::AtomicTagged128>>;
+TYPED_TEST_SUITE(MsQueueFaults, MsQueueWords);
+
+TYPED_TEST(MsQueueFaults, SurvivorsCompleteWhileVictimHaltedAtE13) {
   fault::Watchdog watchdog(60s, "MsQueue halted-at-E13 survivors");
-  queues::MsQueue<std::uint64_t> queue(256);
+  TypeParam queue(256);
 
   fault::FaultPlan plan;
   plan.halt_at("ms.E13");  // first thread past the E9 link parks forever
@@ -455,41 +467,44 @@ TEST(RealThreadFaults, MsQueueSurvivorsCompleteWhileVictimHaltedAtE13) {
   plan.disarm();
 }
 
-TEST(RealThreadFaults, MsQueueDwSurvivorsCompleteWhileVictimHaltedAtE13) {
-  fault::Watchdog watchdog(60s, "MsQueueDw halted-at-E13 survivors");
-  queues::MsQueueDw<std::uint64_t> queue(256);
+TYPED_TEST(MsQueueFaults, StaleE9LinkCannotLandOnARecycledTail) {
+  // The ABA window the counted link exists for.  A parks at E9 holding
+  // Tail = X (the dummy) and the `next` it read from X.  Meanwhile X is
+  // dequeued and freed onto an EMPTY free list, so X.next again holds a
+  // null index.  If freeing X reset its link count, X.next would equal
+  // A's stale read, A's E9 CAS would link A's node onto a node that is no
+  // longer in the queue, and the acknowledged item would be lost.  The
+  // link count is monotone over a node's whole life (E3 and the free
+  // list both bump it), so the stale CAS fails and A re-reads Tail.
+  fault::Watchdog watchdog(60s, "MsQueue stale E9 link on a recycled tail");
+  TypeParam queue(2);  // pool of 3: the dummy plus two items
 
   fault::FaultPlan plan;
-  plan.halt_at("msdw.E13");
+  plan.halt_at("ms.E9");
   plan.arm();
 
-  std::thread victim([&] { EXPECT_TRUE(queue.try_enqueue(7)); });
+  std::atomic<bool> acked{false};
+  std::thread a([&] { acked.store(queue.try_enqueue(7)); });
   plan.wait_for_halted(1);
+  ASSERT_EQ(plan.halted_now(), 1u);
 
-  std::atomic<std::uint64_t> enqueued{0}, dequeued{0};
-  {
-    std::vector<std::jthread> survivors;
-    for (int t = 0; t < 2; ++t) {
-      survivors.emplace_back([&] {
-        for (int i = 0; i < 3'000; ++i) {
-          while (!queue.try_enqueue(1)) std::this_thread::yield();
-          enqueued.fetch_add(1, std::memory_order_relaxed);
-          std::uint64_t out = 0;
-          if (queue.try_dequeue(out)) {
-            dequeued.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-  }
-  EXPECT_EQ(enqueued.load(), 6'000u);
+  ASSERT_TRUE(queue.try_enqueue(8));  // takes the last free node
+  ASSERT_EQ(queue.unsafe_free_nodes(), 0u);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_dequeue(out));  // frees X onto the empty list
+  ASSERT_EQ(out, 8u);
+  ASSERT_EQ(queue.unsafe_free_nodes(), 1u);
 
   plan.release_halted();
-  victim.join();
-  std::uint64_t out = 0, drained = 0;
-  while (queue.try_dequeue(out)) ++drained;
-  EXPECT_EQ(dequeued.load() + drained, enqueued.load() + 1);
+  a.join();
   plan.disarm();
+
+  // Every acknowledged enqueue comes out exactly once, then empty.
+  ASSERT_TRUE(acked.load());
+  ASSERT_TRUE(queue.try_dequeue(out)) << "the acknowledged 7 was lost";
+  EXPECT_EQ(out, 7u);
+  EXPECT_FALSE(queue.try_dequeue(out));
+  EXPECT_EQ(queue.unsafe_free_nodes(), 2u);
 }
 
 TEST(RealThreadFaults, TreiberSurvivorsCompleteWhileVictimHaltedMidPop) {
@@ -820,231 +835,6 @@ TEST(RealThreadFaults, ShardedProducerRehomesOffAPersistentlyFullShard) {
   EXPECT_GT(plan.hits("shardq.rehome"), 0u)
       << "home shard stayed full but the producer never re-homed";
   plan.disarm();
-}
-
-// ---------------------------------------------------------------------------
-// WfQueue fault sites: the wait-free claim, demonstrated with real threads.
-// ---------------------------------------------------------------------------
-
-TEST(RealThreadFaults, WfVictimHaltedAfterAnnounceIsCompletedBySurvivors) {
-  // THE wait-free distinction, as an observable fact: the victim announces
-  // an enqueue and parks before taking a single further step.  With the MS
-  // core alone nothing would happen (its node is not yet linked -- there
-  // is nothing to help).  With the announcement array, survivors MUST
-  // finish the victim's operation: its item becomes dequeuable while the
-  // victim is still parked.
-  constexpr std::uint64_t kMarker = 0xD00DF00Du;
-  fault::Watchdog watchdog(60s, "WfQueue halted-at-announce helping");
-  queues::WfQueue<std::uint64_t> queue(256);
-
-  fault::FaultPlan plan;
-  plan.halt_at("wfq.announce");
-  plan.arm();
-
-  std::atomic<bool> victim_returned{false};
-  std::thread victim([&] {
-    EXPECT_TRUE(queue.try_enqueue(kMarker));
-    victim_returned.store(true);
-  });
-  plan.wait_for_halted(1);
-  ASSERT_EQ(plan.halted_now(), 1u);
-  ASSERT_FALSE(victim_returned.load());
-
-  std::atomic<bool> marker_seen{false};
-  std::atomic<std::uint64_t> enqueued{0}, dequeued{0};
-  {
-    std::vector<std::jthread> survivors;
-    for (int t = 0; t < 2; ++t) {
-      survivors.emplace_back([&] {
-        for (int i = 0; i < 3'000; ++i) {
-          while (!queue.try_enqueue(1)) std::this_thread::yield();
-          enqueued.fetch_add(1, std::memory_order_relaxed);
-          std::uint64_t out = 0;
-          if (queue.try_dequeue(out)) {
-            dequeued.fetch_add(1, std::memory_order_relaxed);
-            if (out == kMarker) marker_seen.store(true);
-          }
-        }
-      });
-    }
-  }
-  EXPECT_EQ(enqueued.load(), 6'000u);
-  EXPECT_FALSE(victim_returned.load()) << "victim escaped its halt";
-  EXPECT_TRUE(marker_seen.load())
-      << "survivors never completed the parked victim's announced enqueue";
-
-  plan.release_halted();
-  victim.join();
-  EXPECT_TRUE(victim_returned.load());
-  std::uint64_t out = 0, drained = 0;
-  while (queue.try_dequeue(out)) ++drained;
-  EXPECT_EQ(dequeued.load() + drained, enqueued.load() + 1);
-  plan.disarm();
-}
-
-TEST(RealThreadFaults, WfSurvivorsCompleteWhileVictimHaltedInsideHelping) {
-  // Crash-stop a worker at every labelled step of the helping protocol in
-  // turn: after the link CAS window opens, at the claim CAS, at the result
-  // deposit, and at the tail/head swing.  A parked helper holds only its
-  // own descriptor slot -- survivors must complete full workloads, and
-  // every item (including the victim's own completed ops) is conserved.
-  constexpr std::array<const char*, 5> kSites = {
-      "wfq.link", "wfq.claim", "wfq.finish", "wfq.deposit", "wfq.swing"};
-  for (const char* site : kSites) {
-    SCOPED_TRACE(site);
-    fault::Watchdog watchdog(60s,
-                             std::string("WfQueue halted at ") + site);
-    queues::WfQueue<std::uint64_t> queue(256);
-
-    fault::FaultPlan plan;
-    plan.halt_at(site);
-    plan.arm();
-
-    std::atomic<std::uint64_t> enqueued{0}, dequeued{0};
-    std::thread victim([&] {
-      for (int i = 0; i < 500; ++i) {  // parks at the first site hit,
-        while (!queue.try_enqueue(1)) std::this_thread::yield();
-        enqueued.fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t out = 0;
-        if (queue.try_dequeue(out)) {  // finishes the rest after release
-          dequeued.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-    plan.wait_for_halted(1);
-
-    {
-      std::vector<std::jthread> survivors;
-      for (int t = 0; t < 2; ++t) {
-        survivors.emplace_back([&] {
-          for (int i = 0; i < 2'000; ++i) {
-            while (!queue.try_enqueue(1)) std::this_thread::yield();
-            enqueued.fetch_add(1, std::memory_order_relaxed);
-            std::uint64_t out = 0;
-            if (queue.try_dequeue(out)) {
-              dequeued.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        });
-      }
-    }
-    EXPECT_EQ(plan.halted_now(), 1u) << "victim escaped its halt";
-    EXPECT_GE(enqueued.load(), 4'000u);
-
-    plan.release_halted();
-    victim.join();
-    std::uint64_t out = 0, drained = 0;
-    while (queue.try_dequeue(out)) ++drained;
-    EXPECT_EQ(dequeued.load() + drained, enqueued.load());
-    plan.disarm();
-  }
-}
-
-TEST(RealThreadFaults, StaleHelperCannotDepositIntoARecycledDummysNewOp) {
-  // Deterministic replay of the recycled-dummy hazard the taken-binding's
-  // live-Head deposit guard exists for.  Choreography: helper V parks
-  // inside finish_deq (site wfq.finish) holding a Head read of dummy D0
-  // and D0's claim, which names thread O's descriptor slot.  While V is
-  // parked, O's dequeue is completed by main (D0 consumed, freed), D0 is
-  // RE-ENQUEUED mid-queue, and O -- same thread, same slot -- announces a
-  // fresh dequeue that parks pending with its taken reset to null.  V then
-  // resumes: it re-reads the reused slot's CURRENT pending announcement,
-  // so the phase guard alone cannot reject it, and its binding CAS writes
-  // the dead {D0, old-Head-tag} incarnation.  Without the deposit guard V
-  // completes O's new dequeue with the PREVIOUS dummy's already-delivered
-  // value (a duplicate, removing nothing); without stale-binding recovery
-  // the polluted taken wedges O's dequeue forever (the Watchdog would
-  // fire).  With both, O's second dequeue must deliver the real front
-  // value and the queue must conserve items exactly.
-  constexpr std::uint64_t kX = 101, kP = 202, kQ = 303;
-  fault::Watchdog watchdog(60s, "WfQueue stale-helper deposit guard");
-  queues::WfQueue<std::uint64_t> queue(64);
-  ASSERT_TRUE(queue.try_enqueue(kX));  // D0(dummy) -> nX
-
-  // Act 1: O announces a dequeue and parks before taking another step.
-  fault::FaultPlan plan_o1;
-  plan_o1.halt_at("wfq.announce");
-  plan_o1.arm();
-  std::atomic<int> o_gate{0};
-  std::atomic<std::uint64_t> o_first{0}, o_second{0};
-  std::atomic<bool> o_first_ok{false}, o_second_ok{false};
-  std::thread o([&] {
-    std::uint64_t out = 0;
-    o_first_ok.store(queue.try_dequeue(out));
-    o_first.store(out);
-    o_gate.store(1);
-    while (o_gate.load() != 2) std::this_thread::yield();
-    out = 0;
-    o_second_ok.store(queue.try_dequeue(out));
-    o_second.store(out);
-  });
-  plan_o1.wait_for_halted(1);
-  plan_o1.disarm();
-
-  // Act 2: V's dequeue helps O's lower-phase op -- it claims D0 for O's
-  // slot, then parks inside finish_deq with claim and next already read.
-  fault::FaultPlan plan_v;
-  plan_v.halt_at("wfq.finish");
-  plan_v.arm();
-  std::atomic<bool> v_got{true};
-  std::thread v([&] {
-    std::uint64_t out = 0;
-    v_got.store(queue.try_dequeue(out));
-  });
-  plan_v.wait_for_halted(1);
-  plan_v.disarm();
-
-  // Act 3: main finishes O's op (deposits kX, swings Head, frees D0) and
-  // resolves V's announced dequeue as empty; its own dequeue reads empty.
-  std::uint64_t out = 0;
-  EXPECT_FALSE(queue.try_dequeue(out));
-
-  // Act 4: O harvests kX and returns; D0 is re-enqueued (the free list is
-  // LIFO, so the first allocation re-uses it) and sits mid-queue with a
-  // live next edge and its claim still dangling at O's slot.
-  plan_o1.release_halted();
-  while (o_gate.load() != 1) std::this_thread::yield();
-  EXPECT_TRUE(o_first_ok.load());
-  EXPECT_EQ(o_first.load(), kX);
-  ASSERT_TRUE(queue.try_enqueue(kP));  // re-allocates D0
-  ASSERT_TRUE(queue.try_enqueue(kQ));
-
-  // Act 5: O announces its second dequeue in the SAME slot (same thread,
-  // same hint; the slot was harvested) and parks with the op pending.
-  fault::FaultPlan plan_o2;
-  plan_o2.halt_at("wfq.announce");
-  plan_o2.arm();
-  o_gate.store(2);
-  plan_o2.wait_for_halted(1);
-  plan_o2.disarm();
-
-  // Act 6: release V.  Its stale view targets exactly O's pending op; the
-  // deposit guard must turn it away without completing anything.
-  plan_v.release_halted();
-  v.join();
-  EXPECT_FALSE(v_got.load()) << "V's own dequeue should have read empty";
-
-  // Act 7: release O.  Its helping must recover from whatever binding V
-  // left behind and deliver the true front value.  The recovery goes
-  // through the stale-binding unbind (site wfq.unbind): V's dead
-  // {D0, old-Head-tag} binding pollutes O's taken, and O's own helping
-  // pass must clear it before the live dummy can be bound -- an armed
-  // observer plan must see that window cross.
-  fault::FaultPlan plan_watch;  // no rules: pure site-hit observation
-  plan_watch.arm();
-  plan_o2.release_halted();
-  o.join();
-  plan_watch.disarm();
-  EXPECT_TRUE(o_second_ok.load());
-  EXPECT_EQ(o_second.load(), kP)
-      << "stale helper completed the new dequeue with a recycled value";
-  EXPECT_GT(plan_watch.hits("wfq.unbind"), 0u)
-      << "O's recovery should have unbound V's stale pollution";
-
-  // Conservation: exactly kQ remains.
-  EXPECT_TRUE(queue.try_dequeue(out));
-  EXPECT_EQ(out, kQ);
-  EXPECT_FALSE(queue.try_dequeue(out));
 }
 
 TEST(RealThreadFaults, StallRuleBindsOneStickyVictimAndAccountsTime) {

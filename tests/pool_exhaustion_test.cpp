@@ -34,8 +34,17 @@ class PoolExhaustionTest : public ::testing::Test {
   Q queue_{kCapacity};
 };
 
+// Figure 1 on the 128-bit cmpxchg16b counted word.
+using MsQueueWide = MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                            tagged::AtomicTagged128>;
+// Figure 1 allocating through per-thread magazines over the free list (the
+// `msq+mag` series of bench/ablate_magazine.cpp).
+template <typename Node>
+using Mag32 = mem::MagazineAllocator<Node, 32>;
+using MsQueueMag = MsQueue<std::uint64_t, sync::Backoff, Mag32>;
+
 using PoolBackedTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>, MsQueueWide, MsQueueMag,
                      TwoLockQueue<std::uint64_t>, SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
                      ScqQueue<std::uint64_t>,
@@ -45,8 +54,7 @@ using PoolBackedTypes =
                      // multi-shard: the single producer fills its home shard
                      // to refusal before spilling onward in order, and the
                      // drain sweeps shards in the same order.
-                     ShardedQueue<SegmentQueue<std::uint64_t>, 2>,
-                     WfQueue<std::uint64_t>>;
+                     ShardedQueue<SegmentQueue<std::uint64_t>, 2>>;
 TYPED_TEST_SUITE(PoolExhaustionTest, PoolBackedTypes);
 
 TYPED_TEST(PoolExhaustionTest, RefusalIsCleanAndRepeatable) {

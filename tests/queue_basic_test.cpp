@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "mem/magazine.hpp"
 #include "queues/queues.hpp"
 
 namespace msq::queues {
@@ -30,14 +31,25 @@ class QueueBasicTest : public ::testing::Test {
   decltype(Factory<Q>::make()) queue_ = Factory<Q>::make();
 };
 
+// Figure 1 on the 128-bit cmpxchg16b counted word.
+using MsQueueWide = MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                            tagged::AtomicTagged128>;
+// Figure 1 allocating through per-thread magazines over the free list (the
+// `msq+mag` series of bench/ablate_magazine.cpp).
+template <typename Node>
+using Mag32 = mem::MagazineAllocator<Node, 32>;
+using MsQueueMag = MsQueue<std::uint64_t, sync::Backoff, Mag32>;
+
 using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>, MsQueueWide, MsQueueMag,
                      MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
                      SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
                      ScqQueue<std::uint64_t>, PljQueue<std::uint64_t>,
                      ValoisQueue<std::uint64_t>, SegmentQueue<std::uint64_t>,
-                     WfQueue<std::uint64_t>>;
+                     // Degenerate single shard: globally FIFO, so it owes
+                     // the same single-threaded contract as its inner queue.
+                     ShardedQueue<MsQueue<std::uint64_t>, 1>>;
 TYPED_TEST_SUITE(QueueBasicTest, QueueTypes);
 
 TYPED_TEST(QueueBasicTest, SatisfiesConcurrentQueueConcept) {
@@ -152,7 +164,6 @@ TYPED_TEST(QueueBasicTest, DrainAfterPartialConsumption) {
 TEST(QueueTraits, ProgressClassificationMatchesPaper) {
   // Section 1's taxonomy, encoded as traits the harness relies on.
   EXPECT_EQ(MsQueue<int>::traits.progress, Progress::kNonBlocking);
-  EXPECT_EQ(MsQueueDw<int>::traits.progress, Progress::kNonBlocking);
   EXPECT_EQ(MsQueueHp<int>::traits.progress, Progress::kNonBlocking);
   EXPECT_EQ(PljQueue<int>::traits.progress, Progress::kNonBlocking);
   EXPECT_EQ(ValoisQueue<int>::traits.progress, Progress::kNonBlocking);
@@ -166,10 +177,6 @@ TEST(QueueTraits, ProgressClassificationMatchesPaper) {
   // overtaking a stalled enqueuer marks the entry unsafe and moves on
   // instead of waiting on the slot handshake.
   EXPECT_EQ(ScqQueue<int>::traits.progress, Progress::kNonBlocking);
-  // The helping wrapper upgrades the MS core's guarantee to wait-free
-  // (ROADMAP item 3; the bound is proven over schedules in
-  // tests/sim_wf_test.cpp).
-  EXPECT_EQ(WfQueue<int>::traits.progress, Progress::kWaitFree);
   EXPECT_FALSE(MsQueueHp<int>::traits.pool_backed);
   EXPECT_TRUE(MsQueue<int>::traits.pool_backed);
 }

@@ -17,6 +17,7 @@
 #include "check/invariants.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/counters.hpp"
+#include "mem/magazine.hpp"
 #include "queues/queues.hpp"
 
 namespace msq::queues {
@@ -43,8 +44,17 @@ class QueueConcurrentTest : public ::testing::Test {
   decltype(Factory<Q>::make()) queue_ = Factory<Q>::make();
 };
 
+// Figure 1 on the 128-bit cmpxchg16b counted word.
+using MsQueueWide = MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                            tagged::AtomicTagged128>;
+// Figure 1 allocating through per-thread magazines over the free list (the
+// `msq+mag` series of bench/ablate_magazine.cpp).
+template <typename Node>
+using Mag32 = mem::MagazineAllocator<Node, 32>;
+using MsQueueMag = MsQueue<std::uint64_t, sync::Backoff, Mag32>;
+
 using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>, MsQueueWide, MsQueueMag,
                      MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
                      SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
@@ -54,8 +64,7 @@ using QueueTypes =
                      // rides every suite here; multi-shard configurations are
                      // stressed against their own contract in
                      // sharded_queue_test.cpp.
-                     ShardedQueue<MsQueue<std::uint64_t>, 1>,
-                     WfQueue<std::uint64_t>>;
+                     ShardedQueue<MsQueue<std::uint64_t>, 1>>;
 TYPED_TEST_SUITE(QueueConcurrentTest, QueueTypes);
 
 TYPED_TEST(QueueConcurrentTest, PairedLoopConservesEveryValue) {

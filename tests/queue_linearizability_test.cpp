@@ -15,6 +15,7 @@
 #include "check/invariants.hpp"
 #include "check/lin_check.hpp"
 #include "port/clock.hpp"
+#include "mem/magazine.hpp"
 #include "queues/queues.hpp"
 #include "sharded_oracle.hpp"
 
@@ -33,8 +34,17 @@ struct Factory<MsQueueHp<T, B>> {
 template <typename Q>
 class QueueLinearizabilityTest : public ::testing::Test {};
 
+// Figure 1 on the 128-bit cmpxchg16b counted word.
+using MsQueueWide = MsQueue<std::uint64_t, sync::Backoff, mem::FreeList,
+                            tagged::AtomicTagged128>;
+// Figure 1 allocating through per-thread magazines over the free list (the
+// `msq+mag` series of bench/ablate_magazine.cpp).
+template <typename Node>
+using Mag32 = mem::MagazineAllocator<Node, 32>;
+using MsQueueMag = MsQueue<std::uint64_t, sync::Backoff, Mag32>;
+
 using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>, MsQueueWide, MsQueueMag,
                      MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
                      SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
@@ -42,8 +52,7 @@ using QueueTypes =
                      ValoisQueue<std::uint64_t>, SegmentQueue<std::uint64_t>,
                      // A single shard is exactly its inner queue plus the
                      // ticket scaffolding: must stay fully linearizable.
-                     ShardedQueue<MsQueue<std::uint64_t>, 1>,
-                     WfQueue<std::uint64_t>>;
+                     ShardedQueue<MsQueue<std::uint64_t>, 1>>;
 TYPED_TEST_SUITE(QueueLinearizabilityTest, QueueTypes);
 
 TYPED_TEST(QueueLinearizabilityTest, SmallHistoriesAreExactlyLinearizable) {

@@ -11,7 +11,6 @@
 
 #include "check/invariants.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/ms_queue_dwcas.hpp"
 #include "queues/single_lock_queue.hpp"
 #include "queues/treiber_stack.hpp"
 #include "queues/two_lock_queue.hpp"
@@ -38,7 +37,8 @@ using Variants = ::testing::Types<
     SingleLockQueue<std::uint64_t, sync::McsMutex>,
     // Non-blocking structures with backoff disabled (maximum interleaving).
     MsQueue<std::uint64_t, sync::NullBackoff>,
-    MsQueueDw<std::uint64_t, sync::NullBackoff>,
+    MsQueue<std::uint64_t, sync::NullBackoff, mem::FreeList,
+            tagged::AtomicTagged128>,
     TreiberStack<std::uint64_t, sync::NullBackoff>>;
 TYPED_TEST_SUITE(VariantTest, Variants);
 

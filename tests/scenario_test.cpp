@@ -102,6 +102,24 @@ TEST(ScenarioArrivalTest, BurstWindowCarriesMostArrivals) {
       << "burst window holds " << in_window << "/" << spec.ops;
 }
 
+TEST(ScenarioPresetTest, BurstShedBoundIsTheInWindowCeiling) {
+  // burst100's shed bound comes from its arrival spec: the expected
+  // in-window share of arrivals (100 * 0.1 / (1 + 99 * 0.1) = 10 / 10.9)
+  // less the ring's 32 slots, per offered op.  Shedding only inside the
+  // window can never exceed it, whatever the host's speed.
+  const auto presets = scenario::builtin_presets(1500);
+  const scenario::ScenarioPreset* burst = nullptr;
+  for (const auto& p : presets) {
+    if (p.name == "burst100") burst = &p;
+  }
+  ASSERT_NE(burst, nullptr);
+  EXPECT_NEAR(burst->slo.shed_rate_max, 10.0 / 10.9 - 32.0 / 1500.0, 1e-12);
+  // More ops dilute the capacity term; the ceiling tends to the window share.
+  EXPECT_NEAR(scenario::in_window_shed_ceiling(burst->arrival, 0),
+              10.0 / 10.9, 1e-12);
+  EXPECT_EQ(scenario::in_window_shed_ceiling(burst->arrival, 1500), 0.0);
+}
+
 TEST(ScenarioArrivalTest, HotShareSkewsProducerZero) {
   ArrivalSpec spec;
   spec.ops = 5000;

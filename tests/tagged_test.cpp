@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "tagged/atomic_tagged.hpp"
-#include "tagged/counted_ptr.hpp"
+#include "tagged/atomic_tagged128.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::tagged {
@@ -95,43 +95,37 @@ TEST(AtomicTagged, ConcurrentCasGrantsExactlyOneWinnerPerValue) {
   EXPECT_EQ(cell.load(std::memory_order_acquire).index(), static_cast<std::uint32_t>(kThreads * kIncrements));
 }
 
-struct Dummy {
-  int payload;
-};
-
-TEST(CountedPtr, DefaultIsNull) {
-  const CountedPtr<Dummy> p;
-  EXPECT_EQ(p.ptr, nullptr);
-  EXPECT_EQ(p.count, 0u);
+TEST(TaggedIndex128, DefaultIsNullWithZeroCount) {
+  const TaggedIndex128 t;
+  EXPECT_TRUE(t.is_null());
+  EXPECT_EQ(t.index(), kNullIndex);
+  EXPECT_EQ(t.count(), 0u);
 }
 
-TEST(CountedPtr, SuccessorBumpsCount) {
-  Dummy d{1};
-  const CountedPtr<Dummy> p{&d, 41};
-  const CountedPtr<Dummy> s = p.successor(nullptr);
-  EXPECT_EQ(s.ptr, nullptr);
-  EXPECT_EQ(s.count, 42u);
+TEST(TaggedIndex128, SuccessorBumpsCountPastThirtyTwoBits) {
+  const TaggedIndex128 t(3, 0xFFFF'FFFFull);
+  const TaggedIndex128 s = t.successor(kNullIndex);
+  EXPECT_TRUE(s.is_null());
+  EXPECT_EQ(s.count(), 0x1'0000'0000ull);  // the 64-bit word does not wrap here
 }
 
-TEST(AtomicCountedPtr, LoadStoreRoundTrip) {
-  Dummy d{7};
-  AtomicCountedPtr<Dummy> cell;
-  EXPECT_EQ(cell.load(std::memory_order_acquire).ptr, nullptr);
-  cell.store({&d, 3}, std::memory_order_release);
-  EXPECT_EQ(cell.load(std::memory_order_acquire).ptr, &d);
-  EXPECT_EQ(cell.load(std::memory_order_acquire).count, 3u);
+TEST(AtomicTagged128, LoadStoreRoundTrip) {
+  AtomicTagged128 cell;
+  EXPECT_TRUE(cell.load(std::memory_order_acquire).is_null());
+  cell.store({7, 3}, std::memory_order_release);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).index(), 7u);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).count(), 3u);
 }
 
-TEST(AtomicCountedPtr, CasIsCountSensitive) {
-  Dummy a{0}, b{1};
-  AtomicCountedPtr<Dummy> cell{{&a, 10}};
-  EXPECT_FALSE(cell.compare_and_swap({&a, 9}, {&b, 10}, std::memory_order_acq_rel));   // stale count
-  EXPECT_TRUE(cell.compare_and_swap({&a, 10}, {&b, 11}, std::memory_order_acq_rel));
-  EXPECT_EQ(cell.load(std::memory_order_acquire).ptr, &b);
+TEST(AtomicTagged128, CasIsCountSensitive) {
+  AtomicTagged128 cell{{0, 10}};
+  EXPECT_FALSE(cell.compare_and_swap({0, 9}, {1, 10}, std::memory_order_acq_rel));   // stale count
+  EXPECT_TRUE(cell.compare_and_swap({0, 10}, {1, 11}, std::memory_order_acq_rel));
+  EXPECT_EQ(cell.load(std::memory_order_acquire).index(), 1u);
 }
 
-TEST(AtomicCountedPtr, ConcurrentCountMonotonicity) {
-  AtomicCountedPtr<Dummy> cell{{nullptr, 0}};
+TEST(AtomicTagged128, ConcurrentCountMonotonicity) {
+  AtomicTagged128 cell{{kNullIndex, 0}};
   constexpr int kThreads = 4;
   constexpr int kIncrements = 10'000;
   std::vector<std::jthread> threads;
@@ -139,14 +133,14 @@ TEST(AtomicCountedPtr, ConcurrentCountMonotonicity) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIncrements; ++i) {
         for (;;) {
-          const CountedPtr<Dummy> cur = cell.load(std::memory_order_acquire);
-          if (cell.compare_and_swap(cur, cur.successor(cur.ptr), std::memory_order_acq_rel)) break;
+          const TaggedIndex128 cur = cell.load(std::memory_order_acquire);
+          if (cell.compare_and_swap(cur, cur.successor(cur.index()), std::memory_order_acq_rel)) break;
         }
       }
     });
   }
   threads.clear();
-  EXPECT_EQ(cell.load(std::memory_order_acquire).count, static_cast<std::uint64_t>(kThreads) * kIncrements);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).count(), static_cast<std::uint64_t>(kThreads) * kIncrements);
 }
 
 }  // namespace

@@ -78,17 +78,34 @@ Usage: tools/check_bench_json.py [--self-test] [BENCH_fig3.json ...]
 
 import json
 import math
+import re
 import sys
 import tempfile
+from pathlib import Path
 
-COUNTER_NAMES = [
-    "enqueue", "dequeue", "dequeue_empty", "cas_attempt", "cas_fail",
-    "backoff_wait", "lock_acquire", "lock_spin", "pool_get", "pool_refuse",
-    "explore_run", "explore_skip", "race_report", "pool_cas_retry",
-    "seg_close", "mag_hit", "mag_refill", "mag_flush",
-    "shard_hit", "shard_steal", "shard_rehome", "empty_rescan", "wf_help",
-    "queue_full", "shed_retry", "shed", "scq_catchup", "scq_threshold_reset",
-]
+COUNTERS_HEADER = Path(__file__).resolve().parent.parent / "src" / "obs" / "counters.hpp"
+
+
+def read_counter_names(header=COUNTERS_HEADER):
+    """The report names of the MSQ_COUNTERS X-macro list, in order.
+
+    src/obs/counters.hpp holds the one list of counter names; reading it
+    here keeps the checker from drifting from the code that emits them.
+    """
+    text = Path(header).read_text()
+    start = text.index("#define MSQ_COUNTERS(X)")
+    body = []
+    for line in text[start:].splitlines():
+        body.append(line)
+        if not line.rstrip().endswith("\\"):
+            break
+    names = re.findall(r'X\(\s*k\w+\s*,\s*"(\w+)"\s*\)', "\n".join(body))
+    if not names:
+        raise RuntimeError(f"no MSQ_COUNTERS entries found in {header}")
+    return names
+
+
+COUNTER_NAMES = read_counter_names()
 
 TOP_KEYS = {
     "schema": str, "title": str, "pairs": int, "max_procs": int,
@@ -537,6 +554,21 @@ def self_test():
     doc = _memory_fixture()
     del doc["runs"][0]["counters"]["scq_threshold_reset"]
     expect_errors("memory/missing-scq-counter", doc, "scq_threshold_reset")
+
+    # The name list comes from the counters header; a dropped entry there
+    # must drop out of the checker, and a continuation line must not end
+    # the list early.
+    with tempfile.NamedTemporaryFile("w", suffix=".hpp") as f:
+        f.write('#define MSQ_COUNTERS(X) \\\n'
+                '  X(kEnqueue, "enqueue") /* done */ \\\n'
+                '  X(kShed, "shed")\n'
+                'X(kNotInList, "not_in_list")\n')
+        f.flush()
+        names = read_counter_names(f.name)
+        if names != ["enqueue", "shed"]:
+            failures.append(f"counters-header: parsed {names}")
+    if "enqueue" not in COUNTER_NAMES or "scq_threshold_reset" not in COUNTER_NAMES:
+        failures.append(f"counters-header: live list is {COUNTER_NAMES}")
 
     for f in failures:
         print(f"self-test failure: {f}", file=sys.stderr)

@@ -89,7 +89,7 @@ def covered_sites(corpus):
     """Site strings quoted anywhere in the tests/bench corpus.
 
     `corpus` maps path -> file text.  Coverage is the exact quoted string:
-    "ms.D12" in a plan does NOT cover "msdw.D12" and vice versa.
+    "ms.D12" in a plan does NOT cover "ms.D1" or "hp.D12".
     """
     covered = set()
     for text in corpus.values():
