@@ -93,9 +93,9 @@ void print_counter_tables(const FigConfig& config,
     const char* title;
   } kTables[] = {
       // Every pool_get is a successful CAS on the shared Treiber top -- a
-      // guaranteed cache-line transfer even when it does not retry.  On a
-      // single-core host retries need a preemption inside the tiny
-      // load-to-CAS window, so pool_get is the robust proxy there;
+      // guaranteed cache-line transfer even when it does not retry.  With
+      // more threads than cores a retry needs a peer preempted inside the
+      // tiny load-to-CAS window, so pool_get is the robust proxy there;
       // pool_cas_retry shows the same collapse once cores run in parallel.
       {obs::Counter::kPoolGet,
        "shared free-list acquisitions per operation (coherence transfers)"},

@@ -51,9 +51,9 @@ std::string real_algo_name(std::size_t algo) {
 }
 
 /// Real-thread sweep point: run the paper's loop on the actual std::atomic
-/// implementations.  On this one-core host all p > 1 runs are inherently
-/// multiprogrammed; the numbers are reported for completeness next to the
-/// simulator's dedicated-machine curves.
+/// implementations.  Runs with more threads than cores are multiprogrammed
+/// (a preempted peer stalls its blocking windows); the numbers are reported
+/// next to the simulator's dedicated-machine curves.
 harness::WorkloadResult real_run(std::size_t algo, std::uint32_t threads,
                                  std::uint64_t pairs, bool pin) {
   harness::WorkloadConfig config;
@@ -197,6 +197,74 @@ void write_json(const FigConfig& config,
 
 }  // namespace
 
+namespace {
+
+/// The one argv surgery behind extract_flag: the value of `flag` (removed
+/// with it), or nullptr when absent; `ok` turns false on a missing value.
+const char* take_flag(int& argc, char** argv, const char* flag, bool& ok) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 >= argc) {
+      std::cerr << flag << " needs a value\n";
+      ok = false;
+      return nullptr;
+    }
+    const char* value = argv[i + 1];
+    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+    argc -= 2;
+    return value;
+  }
+  return nullptr;
+}
+
+/// Parse a leading unsigned number; returns where it ends, nullptr if none.
+const char* parse_number(const char* p, std::uint64_t& out) {
+  char* end = nullptr;
+  out = std::strtoull(p, &end, 10);
+  return end == p ? nullptr : end;
+}
+
+}  // namespace
+
+bool extract_flag(int& argc, char** argv, const char* flag, std::string& out) {
+  bool ok = true;
+  if (const char* value = take_flag(argc, argv, flag, ok)) out = value;
+  return ok;
+}
+
+bool extract_flag(int& argc, char** argv, const char* flag,
+                  std::uint64_t& out) {
+  bool ok = true;
+  const char* value = take_flag(argc, argv, flag, ok);
+  if (value == nullptr) return ok;
+  const char* end = parse_number(value, out);
+  if (end == nullptr || *end != '\0') {
+    std::cerr << flag << ": bad number '" << value << "'\n";
+    return false;
+  }
+  return true;
+}
+
+bool extract_flag(int& argc, char** argv, const char* flag,
+                  std::vector<std::uint64_t>& out, std::uint64_t max) {
+  bool ok = true;
+  const char* value = take_flag(argc, argv, flag, ok);
+  if (value == nullptr) return ok;
+  out.clear();
+  for (const char* p = value; *p != '\0';) {
+    std::uint64_t v = 0;
+    const char* end = parse_number(p, v);
+    if (end == nullptr || v > max || (*end != ',' && *end != '\0')) {
+      std::cerr << flag << ": bad element in '" << value << "' (0.." << max
+                << ")\n";
+      return false;
+    }
+    out.push_back(v);
+    p = (*end == ',') ? end + 1 : end;
+  }
+  return true;
+}
+
 bool parse_args(int argc, char** argv, FigConfig& config) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -289,10 +357,13 @@ void run_figure(const FigConfig& config) {
   std::vector<SweepSeries> all_series = sim_series;
 
   if (config.also_real) {
+    const unsigned cores = std::thread::hardware_concurrency();
     harness::SeriesTable real_table(
         config.title + "  [real threads on this host (" +
-            std::to_string(std::thread::hardware_concurrency()) +
-            " hardware core(s), oversubscribed => multiprogrammed" +
+            std::to_string(cores) + " hardware core(s)" +
+            (config.max_procs * config.procs_per_processor > cores
+                 ? ", oversubscribed => multiprogrammed"
+                 : "") +
             (config.pin ? "; pinned" : "") +
             "); net seconds per 10^6 pairs]",
         "threads");

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace msq::bench {
 
@@ -43,6 +44,17 @@ struct FigConfig {
 /// Parse the common flags into `config` (title/procs_per_processor are set
 /// by the caller).  Returns false (after printing usage) on a bad flag.
 bool parse_args(int argc, char** argv, FigConfig& config);
+
+/// Take "FLAG VALUE" out of argv, for a bench's own flags, before
+/// parse_args (which rejects flags it does not know) sees the rest.  An
+/// absent FLAG leaves `out` as it is.  Returns false, after printing why,
+/// when FLAG has no value or a bad one.  Lists are comma-separated, each
+/// element at most `max`, and replace `out`.
+bool extract_flag(int& argc, char** argv, const char* flag, std::string& out);
+bool extract_flag(int& argc, char** argv, const char* flag,
+                  std::uint64_t& out);
+bool extract_flag(int& argc, char** argv, const char* flag,
+                  std::vector<std::uint64_t>& out, std::uint64_t max);
 
 /// Run the sweep and print the table(s) to stdout.
 void run_figure(const FigConfig& config);

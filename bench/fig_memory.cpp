@@ -341,47 +341,6 @@ std::vector<Family> make_families() {
   };
 }
 
-/// Parse "--only NAME" out of argv (and remove it) before the common
-/// parser runs; empty = all families.
-bool extract_only(int& argc, char** argv, std::string& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--only") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--only needs a family name "
-                   "(msq/msq_hp/segq/ring/scq/valois)\n";
-      return false;
-    }
-    out = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
-  }
-  return true;
-}
-
-/// Parse "--<flag> N" out of argv (and remove it); leaves `out` alone when
-/// the flag is absent.
-bool extract_u64(int& argc, char** argv, const char* flag,
-                 std::uint64_t& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << flag << " needs a number\n";
-      return false;
-    }
-    char* end = nullptr;
-    out = std::strtoull(argv[i + 1], &end, 10);
-    if (end == argv[i + 1] || *end != '\0') {
-      std::cerr << flag << ": bad number '" << argv[i + 1] << "'\n";
-      return false;
-    }
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
-  }
-  return true;
-}
-
 void print_table(const std::vector<MemRun>& runs, bool csv) {
   if (csv) {
     std::cout << "algo,scenario,capacity_nodes,node_bytes,peak_nodes,"
@@ -517,11 +476,13 @@ int main(int argc, char** argv) {
   std::uint64_t occupancy = 12;    // the paper's experiment
   std::uint64_t capacity = 64'000;  // the paper's free-list size
   std::uint64_t stall_us = 2'000;
-  if (!msq::bench::extract_only(argc, argv, only)) return 1;
-  if (!msq::bench::extract_u64(argc, argv, "--occupancy", occupancy))
+  using msq::bench::extract_flag;
+  if (!extract_flag(argc, argv, "--only", only) ||
+      !extract_flag(argc, argv, "--occupancy", occupancy) ||
+      !extract_flag(argc, argv, "--capacity", capacity) ||
+      !extract_flag(argc, argv, "--stall-us", stall_us)) {
     return 1;
-  if (!msq::bench::extract_u64(argc, argv, "--capacity", capacity)) return 1;
-  if (!msq::bench::extract_u64(argc, argv, "--stall-us", stall_us)) return 1;
+  }
   msq::bench::FigConfig config;
   config.title = "peak resident memory by queue family";
   config.json_path = "BENCH_memory.json";

@@ -99,36 +99,6 @@ struct Variant {
   RunFn run;
 };
 
-/// Parse "--shards 1,2,4" out of argv (and remove it) before handing the
-/// rest to the common parser; fig_common knows nothing about this flag.
-bool extract_shards(int& argc, char** argv, std::vector<std::uint32_t>& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--shards needs a comma-separated list (e.g. 1,2,4)\n";
-      return false;
-    }
-    const char* p = argv[i + 1];
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long k = std::strtoul(p, &end, 10);
-      if (end == p || sharded_run_fn(static_cast<std::uint32_t>(k)) == nullptr) {
-        std::cerr << "--shards: unsupported count in '" << argv[i + 1]
-                  << "' (supported: 1, 2, 4, 8, 16)\n";
-        return false;
-      }
-      out.push_back(static_cast<std::uint32_t>(k));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    // Shift the two consumed argv slots out so parse_args never sees them.
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
-  }
-  out = {1, 2, 4};
-  return true;
-}
-
 /// The counters that tell the sharding story, per operation so shard
 /// counts are directly comparable at every thread level.
 void print_counter_tables(const FigConfig& config,
@@ -258,15 +228,15 @@ void write_json(const FigConfig& config,
   std::cout << "wrote " << config.json_path << '\n';
 }
 
-int run(const FigConfig& config, const std::vector<std::uint32_t>& shards) {
+int run(const FigConfig& config, const std::vector<std::uint64_t>& shards) {
   obs::reset();
   obs::arm();
 
   std::vector<Variant> variants;
   variants.push_back({"segq", &run_one<Seg>});
-  for (const std::uint32_t k : shards) {
+  for (const std::uint64_t k : shards) {
     variants.push_back({"shard" + std::to_string(k) + "-segq",
-                        sharded_run_fn(k)});
+                        sharded_run_fn(static_cast<std::uint32_t>(k))});
   }
 
   harness::SeriesTable table(
@@ -291,15 +261,10 @@ int run(const FigConfig& config, const std::vector<std::uint32_t>& shards) {
       const obs::Snapshot before = obs::snapshot();
       const scenario::StampedLoopResult result =
           variants[a].run(threads, config);
-      // Net time as before: elapsed minus one processor's "other work"
-      // (the stamped loop spins think_iters twice per pair, matching the
-      // two-spin iterations other_work_seconds measures).
+      // Net time as before: elapsed minus one processor's "other work",
+      // measured by the loop itself.
       const double net_seconds =
-          result.elapsed_seconds -
-          harness::other_work_seconds(
-              harness::spin_iters_for_us(6.0),
-              static_cast<double>(config.pairs) /
-                  static_cast<double>(threads));
+          result.elapsed_seconds - result.other_work_seconds;
       table.set(cols[a], net_seconds * scale);
 
       SweepPoint point;
@@ -329,8 +294,15 @@ int run(const FigConfig& config, const std::vector<std::uint32_t>& shards) {
 }  // namespace msq::bench
 
 int main(int argc, char** argv) {
-  std::vector<std::uint32_t> shards;
-  if (!msq::bench::extract_shards(argc, argv, shards)) return 1;
+  std::vector<std::uint64_t> shards = {1, 2, 4};
+  if (!msq::bench::extract_flag(argc, argv, "--shards", shards, 16)) return 1;
+  for (const std::uint64_t k : shards) {
+    if (msq::bench::sharded_run_fn(static_cast<std::uint32_t>(k)) == nullptr) {
+      std::cerr << "--shards: unsupported count " << k
+                << " (supported: 1, 2, 4, 8, 16)\n";
+      return 1;
+    }
+  }
   msq::bench::FigConfig config;
   config.title = "shard-count sweep: segment queue behind a sharded front end";
   config.json_path = "BENCH_fig_sharded.json";

@@ -155,52 +155,6 @@ std::vector<Variant> make_variants() {
   };
 }
 
-/// Parse "--only NAME" out of argv (and remove it) before the common
-/// parser runs; empty = all variants.
-bool extract_only(int& argc, char** argv, std::string& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--only") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--only needs a variant name (msq/segq/shard4)\n";
-      return false;
-    }
-    out = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
-  }
-  return true;
-}
-
-/// Parse "--stalls 0,1000" out of argv (and remove it) before the common
-/// parser runs; durations are microseconds.
-bool extract_stalls(int& argc, char** argv, std::vector<std::uint64_t>& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stalls") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--stalls needs a comma-separated us list (e.g. 0,1000)\n";
-      return false;
-    }
-    const char* p = argv[i + 1];
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long us = std::strtoul(p, &end, 10);
-      if (end == p || us > kMaxStallUs) {
-        std::cerr << "--stalls: bad duration in '" << argv[i + 1]
-                  << "' (0.." << kMaxStallUs << " us)\n";
-        return false;
-      }
-      out.push_back(us);
-      p = (*end == ',') ? end + 1 : end;
-    }
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
-  }
-  out = {0, 1000};
-  return true;
-}
-
 void print_tables(const FigConfig& config,
                   const std::vector<StallSeries>& all_series) {
   const struct {
@@ -377,10 +331,13 @@ int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
 }  // namespace msq::bench
 
 int main(int argc, char** argv) {
-  std::vector<std::uint64_t> stalls;
+  std::vector<std::uint64_t> stalls = {0, 1000};  // microseconds
   std::string only;
-  if (!msq::bench::extract_only(argc, argv, only)) return 1;
-  if (!msq::bench::extract_stalls(argc, argv, stalls)) return 1;
+  if (!msq::bench::extract_flag(argc, argv, "--only", only) ||
+      !msq::bench::extract_flag(argc, argv, "--stalls", stalls,
+                                msq::bench::kMaxStallUs)) {
+    return 1;
+  }
   msq::bench::FigConfig config;
   config.title = "item sojourn tail latency vs injected stalls";
   config.json_path = "BENCH_stall.json";

@@ -38,7 +38,7 @@ class BrokenQueue {
     if (next == head_.load(std::memory_order_relaxed)) return false;  // full
     ring_[tail].store(v, std::memory_order_relaxed);
     maybe_yield();  // magnify the check-then-act window so the race fires
-                    // reliably even on a single-core host
+                    // reliably, even when a preempted peer must run first
     tail_.store(next, std::memory_order_release);  // lost-update race
     return true;
   }

@@ -2,13 +2,16 @@
 // replay the paper's liveness arguments (section 3.3) by stalling a process
 // at a chosen pseudo-code line and watching who still makes progress.
 //
-//   ./build/examples/sim_explorer                 # default: MS, stall E13
-//   ./build/examples/sim_explorer ms E9
+//   ./build/examples/sim_explorer        # default: MS, stall ms.E13.tail_swing
+//   ./build/examples/sim_explorer ms ms.E9.link_cas
 //   ./build/examples/sim_explorer two-lock T_HELD
 //   ./build/examples/sim_explorer single-lock LOCK_HELD
 //   ./build/examples/sim_explorer mc MC_LINK
 //
-// Labels: MS E5 E9 E12 E13 D2 D9 D12; two-lock T_HELD H_HELD;
+// Labels: MS (the shipped queues/ms_queue.hpp) takes any ms.* or fl.* site
+//         of sim/mo_table.hpp, e.g. ms.E5.tail_load ms.E9.link_cas
+//         ms.E12.tail_help ms.E13.tail_swing ms.D2.head_load
+//         ms.D9.tail_help ms.D12.head_swing; two-lock T_HELD H_HELD;
 //         single-lock LOCK_HELD; mc MC_LINK MC_SWING;
 //         plj PLJ_LINK PLJ_SWING; valois V_LINK V_SWING.
 #include <cstdint>
@@ -28,7 +31,6 @@ using msq::sim::Engine;
 using msq::sim::kEmpty;
 using msq::sim::Proc;
 using msq::sim::SimQueue;
-using msq::sim::Task;
 
 struct Counts {
   std::uint64_t enq = 0;
@@ -36,12 +38,12 @@ struct Counts {
   std::uint64_t empty = 0;
 };
 
-Task<void> pairs_forever(Proc& p, SimQueue& queue, std::uint32_t id,
-                         Counts& counts) {
+void pairs_forever(Proc& p, SimQueue& queue, std::uint32_t id,
+                   Counts& counts) {
   for (std::uint64_t i = 0;; ++i) {
-    const bool ok = co_await queue.enqueue(p, (std::uint64_t{id} << 40) | i);
+    const bool ok = queue.enqueue(p, (std::uint64_t{id} << 40) | i);
     if (ok) ++counts.enq;
-    const std::uint64_t got = co_await queue.dequeue(p);
+    const std::uint64_t got = queue.dequeue(p);
     if (got != kEmpty) {
       ++counts.deq;
     } else {
@@ -63,7 +65,7 @@ Algo parse_algo(const std::string& name) {
 
 int main(int argc, char** argv) {
   const std::string algo_arg = argc > 1 ? argv[1] : "ms";
-  const std::string label = argc > 2 ? argv[2] : "E13";
+  const std::string label = argc > 2 ? argv[2] : "ms.E13.tail_swing";
   const Algo algo = parse_algo(algo_arg);
 
   msq::sim::EngineConfig config;

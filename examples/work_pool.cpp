@@ -54,7 +54,7 @@ class WorkPool {
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto* task = new TypedTask<R>(std::forward<F>(fn));
+    auto* task = new TaskFor<R>(std::forward<F>(fn));
     std::future<R> future = task->promise.get_future();
     while (!queue_.try_enqueue(task)) {
       std::this_thread::yield();  // queue full: backpressure
@@ -68,11 +68,11 @@ class WorkPool {
     virtual void run() = 0;
   };
   template <typename R>
-  struct TypedTask : Task {
+  struct TaskFor : Task {
     std::function<R()> fn;
     std::promise<R> promise;
     template <typename F>
-    explicit TypedTask(F&& f) : fn(std::forward<F>(f)) {}
+    explicit TaskFor(F&& f) : fn(std::forward<F>(f)) {}
     void run() override { promise.set_value(fn()); }
   };
 

@@ -24,7 +24,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/queue_iface.hpp"
-#include "sim/task.hpp"
 #include "sim/workload.hpp"
 
 namespace msq::fault {
@@ -61,31 +60,31 @@ struct SurvivorCounts {
   std::uint64_t dequeues = 0;
 };
 
-inline sim::Task<void> survivor_pairs(sim::Proc& p, sim::SimQueue& queue,
-                                      std::uint32_t producer,
-                                      SurvivorCounts& counts) {
+inline void survivor_pairs(sim::Proc& p, sim::SimQueue& queue,
+                           std::uint32_t producer,
+                           SurvivorCounts& counts) {
   for (std::uint64_t i = 0;; ++i) {
     const bool ok =
-        co_await queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
+        queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
     if (ok) ++counts.enqueues;
-    const std::uint64_t got = co_await queue.dequeue(p);
+    const std::uint64_t got = queue.dequeue(p);
     if (got != sim::kEmpty) ++counts.dequeues;
   }
 }
 
-inline sim::Task<void> victim_once(sim::Proc& p, sim::SimQueue& queue,
-                                   VictimOp op) {
+inline void victim_once(sim::Proc& p, sim::SimQueue& queue,
+                        VictimOp op) {
   if (op == VictimOp::kEnqueue) {
-    co_await queue.enqueue(p, 0xdeadull);
+    queue.enqueue(p, 0xdeadull);
   } else {
-    co_await queue.dequeue(p);
+    queue.dequeue(p);
   }
 }
 
-inline sim::Task<void> preload_n(sim::Proc& p, sim::SimQueue& queue,
-                                 std::uint32_t n) {
+inline void preload_n(sim::Proc& p, sim::SimQueue& queue,
+                      std::uint32_t n) {
   for (std::uint32_t i = 0; i < n; ++i) {
-    co_await queue.enqueue(p, 0x9000ull + i);
+    queue.enqueue(p, 0x9000ull + i);
   }
 }
 
@@ -96,7 +95,7 @@ inline sim::Task<void> preload_n(sim::Proc& p, sim::SimQueue& queue,
 inline CrashPoint run_crash_point(sim::Algo algo, VictimOp op,
                                   std::uint64_t crash_step,
                                   const CrashSweepConfig& config) {
-  // Declared before the engine so suspended survivor coroutines (torn down
+  // Declared before the engine so unfinished survivor processes (unwound
   // by ~Engine) never outlive the counters they reference.
   detail::SurvivorCounts counts;
 

@@ -2,7 +2,7 @@
 // against labelled CAS/lock sites inside the queue implementations.
 //
 // The queues are instrumented with fault::point("site") calls at the same
-// pseudo-code windows the simulator labels with co_await p.at(...) -- after
+// pseudo-code windows the simulator labels with p.at(...) -- after
 // a successful E9 link but before the E13 tail swing, inside a lock-held
 // critical section, between MC's fetch_and_store and its link write.  When
 // no plan is armed, point() is a single relaxed atomic load and the queues
@@ -313,7 +313,7 @@ class FaultPlan {
       --parked_;
     }
     if (stall_ns > 0) {
-      // A sleeping victim yields the CPU (essential on a 1-core host: a
+      // A sleeping victim yields the CPU (essential when threads > cores: a
       // busy-spin "stall" would starve the very survivors being measured).
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns));
       detail::injected_ns_ref() += stall_ns;

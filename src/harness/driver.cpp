@@ -1,7 +1,5 @@
 #include "harness/driver.hpp"
 
-#include <map>
-#include <mutex>
 #include <thread>
 
 #if defined(__linux__)
@@ -10,7 +8,6 @@
 #endif
 
 #include "port/clock.hpp"
-#include "port/spin_work.hpp"
 
 namespace msq::harness {
 
@@ -39,29 +36,6 @@ std::int64_t await_deadline_ns(std::int64_t deadline_ns) noexcept {
   }
   while (now < deadline_ns) now = port::now_ns();
   return 0;
-}
-
-double other_work_seconds(std::uint64_t iters_per_spin, double pairs) {
-  if (iters_per_spin == 0) return 0;
-
-  // Measure seconds per (spin twice) once per iteration count.
-  static std::mutex mutex;
-  static std::map<std::uint64_t, double> cache;
-  std::scoped_lock lock(mutex);
-  auto it = cache.find(iters_per_spin);
-  if (it == cache.end()) {
-    constexpr int kTrials = 2000;
-    const std::int64_t t0 = port::now_ns();
-    for (int i = 0; i < kTrials; ++i) {
-      port::spin_work(iters_per_spin);
-      port::spin_work(iters_per_spin);
-    }
-    const std::int64_t t1 = port::now_ns();
-    it = cache.emplace(iters_per_spin,
-                       port::ns_to_seconds(t1 - t0) / kTrials)
-             .first;
-  }
-  return it->second * pairs;
 }
 
 }  // namespace msq::harness

@@ -9,9 +9,10 @@
 //  complete the 'other work' from the total time."
 //
 // The driver reproduces that loop with std::jthread workers, optionally
-// recording an operation history for the linearizability checkers.  On this
-// host (a single hardware core) any p > 1 run is inherently multiprogrammed;
-// the simulator (src/sim) provides the dedicated-machine curves.
+// recording an operation history for the linearizability checkers.  A run
+// with more threads than cores is multiprogrammed (a thread can be
+// preempted mid-operation); the simulator (src/sim) provides the
+// dedicated-machine curves.
 #pragma once
 
 #include <atomic>
@@ -52,6 +53,7 @@ struct WorkloadConfig {
 struct WorkloadResult {
   double elapsed_seconds = 0;  // wall time of the parallel phase
   double net_seconds = 0;      // elapsed minus one processor's "other work"
+  double other_work_seconds = 0;  // that share: the threads' mean spin time
   std::uint64_t enqueues = 0;
   std::uint64_t dequeues = 0;        // successful
   std::uint64_t empty_dequeues = 0;  // observed-empty results
@@ -61,11 +63,6 @@ struct WorkloadResult {
   obs::Histogram dequeue_latency_ns;   // filled iff record_latency
 };
 
-/// Time for one processor to execute `pairs` iterations of the loop's two
-/// "other work" spins (measured, memoised per iteration count).
-[[nodiscard]] double other_work_seconds(std::uint64_t iters_per_spin,
-                                        double pairs);
-
 /// Pin the calling thread to `cpu` (mod the online CPU count).  Returns
 /// false (and leaves affinity untouched) on platforms without
 /// pthread_setaffinity_np or when the syscall is refused -- pinning is an
@@ -73,8 +70,8 @@ struct WorkloadResult {
 bool pin_current_thread(std::uint32_t cpu) noexcept;
 
 /// Open-loop pacing hook (src/scenario): wait until port::now_ns() reaches
-/// `deadline_ns`, yielding rather than spinning so a single-core host can
-/// run the consumers this thread is pacing against.  Returns the lateness
+/// `deadline_ns`, yielding rather than spinning so that, with more threads
+/// than cores, the consumers this thread is pacing against still run.  Returns the lateness
 /// in nanoseconds (0 when the deadline was met; positive when the caller
 /// fell behind schedule and the wait was a no-op).  Lateness is what the
 /// coordinated-omission-safe drivers record: the op is stamped with the
@@ -96,6 +93,7 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
   std::atomic<std::uint64_t> dequeues{0};  // share-ok: see above
   std::atomic<std::uint64_t> empty_dequeues{0};  // share-ok: see above
   std::atomic<std::uint64_t> enqueue_failures{0};  // share-ok: see above
+  std::atomic<std::int64_t> spun_ns{0};  // share-ok: see above
   std::barrier start_barrier(static_cast<std::ptrdiff_t>(p) + 1);
 
   // Per-thread shards, merged after the join: Histogram is deliberately
@@ -115,6 +113,7 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
     const bool timed = config.record_history || config.record_latency;
 
     std::uint64_t local_enq = 0, local_deq = 0, local_empty = 0, local_fail = 0;
+    std::int64_t local_spun_ns = 0;
     if (config.pin_threads) pin_current_thread(thread_id);
     start_barrier.arrive_and_wait();
 
@@ -138,7 +137,7 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
         }
       }
       // ... do "other work" ...
-      port::spin_work(config.other_work_iters);
+      port::spin_work_timed(config.other_work_iters, local_spun_ns);
       // ... dequeue an item ...
       std::uint64_t out = 0;
       const std::int64_t deq_inv = timed ? port::now_ns() : 0;
@@ -161,7 +160,7 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
         }
       }
       // ... do "other work", and repeat.
-      port::spin_work(config.other_work_iters);
+      port::spin_work_timed(config.other_work_iters, local_spun_ns);
     }
 
     // relaxed: totals are read only after the join below synchronizes
@@ -169,6 +168,7 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
     dequeues.fetch_add(local_deq, std::memory_order_relaxed);  // relaxed: ^
     empty_dequeues.fetch_add(local_empty, std::memory_order_relaxed);  // relaxed: ^
     enqueue_failures.fetch_add(local_fail, std::memory_order_relaxed);  // relaxed: ^
+    spun_ns.fetch_add(local_spun_ns, std::memory_order_relaxed);  // relaxed: ^
   };
 
   {
@@ -180,8 +180,11 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
     std::vector<std::jthread> threads;
     threads.reserve(p);
     for (std::uint32_t t = 0; t < p; ++t) threads.emplace_back(worker, t);
-    start_barrier.arrive_and_wait();
+    // The clock starts before the workers are released: were it read
+    // after, a descheduled main thread would start it late, and the
+    // in-run spin time subtracted below could exceed the elapsed time.
     const std::int64_t t0 = port::now_ns();
+    start_barrier.arrive_and_wait();
     threads.clear();  // join all
     const std::int64_t t1 = port::now_ns();
     result.elapsed_seconds = port::ns_to_seconds(t1 - t0);
@@ -197,12 +200,15 @@ WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
     result.dequeue_latency_ns.merge(shard.dequeue_ns);
   }
 
-  // Subtract one processor's worth of "other work" (paper section 4).
-  const double pairs_per_proc =
-      static_cast<double>(config.total_pairs) / static_cast<double>(p);
-  result.net_seconds =
-      result.elapsed_seconds -
-      other_work_seconds(config.other_work_iters, pairs_per_proc);
+  // Subtract one processor's worth of "other work" (paper section 4): the
+  // mean of the threads' spin time, measured in this run -- warm, and
+  // pinned or not as the run was.  Not clamped: a negative net would mean
+  // the subtraction is wrong, and should show.
+  result.other_work_seconds =
+      // relaxed: the workers are joined above
+      port::ns_to_seconds(spun_ns.load(std::memory_order_relaxed)) /
+      static_cast<double>(p);
+  result.net_seconds = result.elapsed_seconds - result.other_work_seconds;
   return result;
 }
 

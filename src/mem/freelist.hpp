@@ -45,13 +45,15 @@ class FreeList {
   /// steps; a retry implies another thread completed a push or pop.
   [[nodiscard]] std::uint32_t try_allocate() noexcept {
     for (;;) {
-      const Link top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire, "fl.pop_top");
       if (top.is_null()) {
         MSQ_COUNT(kPoolRefuse);
         return tagged::kNullIndex;
       }
-      const Link next = pool_[top.index()].next.load(std::memory_order_acquire);
-      if (top_.compare_and_swap(top, top.successor(next.index()), std::memory_order_acq_rel)) {
+      const Link next = pool_[top.index()].next.load(
+          std::memory_order_acquire, "fl.pop_next");
+      if (top_.compare_and_swap(top, top.successor(next.index()),
+                                std::memory_order_acq_rel, "fl.pop_cas")) {
         MSQ_COUNT(kPoolGet);
         MSQ_POOL_GAUGE(1);
         return top.index();
@@ -143,16 +145,20 @@ class FreeList {
     // let a recycled node re-expose an old count, making an arbitrarily
     // stale link CAS succeed (the fig_stall wedge: a thread that slept
     // between reading tail->next and CASing it linked a freed node).
-    // relaxed: the node is private to the caller until the CAS publishes it (proof: mo-sweep:fl.push_link)
+    // relaxed: the node is private to the caller until the CAS publishes it (proof: mo-sweep:fl.push_count)
     const auto count =
-        pool_[index].next.load(std::memory_order_relaxed).count() + 1;
+        pool_[index].next.load(std::memory_order_relaxed, "fl.push_count")
+            .count() + 1;
     for (;;) {
-      const Link top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire, "fl.push_top");
       // Link the node above the current top.  The node is private to us
       // here, so a plain store is enough.
       pool_[index].next.store(Link(top.index(), count),
-                              std::memory_order_release);
-      if (top_.compare_and_swap(top, top.successor(index), std::memory_order_acq_rel)) return;
+                              std::memory_order_release, "fl.push_link");
+      if (top_.compare_and_swap(top, top.successor(index),
+                                std::memory_order_acq_rel, "fl.push_cas")) {
+        return;
+      }
       MSQ_COUNT(kPoolCasRetry);
     }
   }

@@ -35,14 +35,15 @@ class ValueCell {
   // is a property of the TYPE (the queue's CAS carries the ordering; this
   // slot only needs atomicity against torn reads), so sites should not
   // look like tunable atomic operations to readers or to the atomics lint.
-  void put(T value) noexcept {
+  // `site` names the access for the simulator's cell (sim/shipped.hpp).
+  void put(T value, const char* /*site*/ = nullptr) noexcept {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &value, sizeof(T));
     // relaxed: ordering is provided by the CAS that publishes the node (proof: mo-sweep:ms.E2.value_write)
     bits_.store(bits, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] T get() const noexcept {
+  [[nodiscard]] T get(const char* /*site*/ = nullptr) const noexcept {
     // relaxed: a stale/torn-free read; the guarding CAS rejects stale uses (proof: mo-sweep:ms.D11.value_read)
     const std::uint64_t bits = bits_.load(std::memory_order_relaxed);
     T value;
@@ -55,5 +56,14 @@ class ValueCell {
   // (one node, one line; the queue ends are the contended words, not this)
   std::atomic<std::uint64_t> bits_{0};
 };
+
+/// The value cell a node pairs with its counted word `Word`: ValueCell,
+/// unless the word's header specializes this (the simulator's word does).
+template <typename T, typename Word>
+struct CellFor {
+  using type = ValueCell<T>;
+};
+template <typename T, typename Word>
+using CellOf = typename CellFor<T, Word>::type;
 
 }  // namespace msq::mem

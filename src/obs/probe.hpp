@@ -9,7 +9,7 @@
 //
 // MSQ_PROBE_COUNT fuses both at the labelled CAS windows the queues
 // already annotate (ms.E9, ms.D12, ...), so the site label stays the
-// single source of truth shared by the simulator's co_await p.at(...)
+// single source of truth shared by the simulator's p.at(...)
 // lines, the fault plans, and the counter reports.  Sites that only ever
 // stall (e.g. lock-held critical sections) keep plain MSQ_PROBE.
 //

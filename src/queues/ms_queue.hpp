@@ -43,6 +43,9 @@ namespace msq::queues {
 /// `Word` is the counted word of Head, Tail and every link:
 /// tagged::AtomicTagged (64-bit) or tagged::AtomicTagged128 (cmpxchg16b,
 /// bench/ablate_reclaim.cpp); the free list takes it from Node::next.
+/// Each access passes its site name (sim/mo_table.hpp): the simulator
+/// runs this very code over sim::SimWord (sim/shipped.hpp), and the name
+/// is how it labels, freezes at and mutates that access.
 template <typename T, typename BackoffPolicy = sync::Backoff,
           template <typename> class Alloc = mem::FreeList,
           typename Word = tagged::AtomicTagged>
@@ -84,29 +87,35 @@ class MsQueue {
     // argument), so a stale E9 CAS against a previous life of this node
     // can never succeed.  The paper's E3 resets the count; with a shared
     // free list that re-exposes old counts and voids the E7/E9 guard.
-    pool_[node].value.put(value);
+    pool_[node].value.put(value, "ms.E2.value_write");
     const Link stale =
-        pool_[node].next.load(std::memory_order_acquire);
-    pool_[node].next.store(
-        Link(tagged::kNullIndex, stale.count() + 1),
-        std::memory_order_release);
+        pool_[node].next.load(std::memory_order_acquire, "ms.E3.next_count");
+    pool_[node].next.store(Link(tagged::kNullIndex, stale.count() + 1),
+                           std::memory_order_release, "ms.E3.next_init");
 
     BackoffPolicy backoff;
     for (;;) {  // E4: repeat
-      const Link tail = tail_.value.load(std::memory_order_acquire);       // E5
-      const Link next = pool_[tail.index()].next.load(std::memory_order_acquire);  // E6
-      if (tail == tail_.value.load(std::memory_order_acquire)) {  // E7: are tail and next consistent?
+      const Link tail =
+          tail_.value.load(std::memory_order_acquire, "ms.E5.tail_load");
+      const Link next = pool_[tail.index()].next.load(
+          std::memory_order_acquire, "ms.E6.next_load");
+      // E7: are tail and next consistent?
+      if (tail == tail_.value.load(std::memory_order_acquire,
+                                   "ms.E7.tail_reload")) {
         if (next.is_null()) {            // E8: was Tail pointing to the last node?
           // E9: try to link node at the end of the linked list
           MSQ_PROBE_COUNT("ms.E9", kCasAttempt);
           if (pool_[tail.index()].next.compare_and_swap(
-                  next, next.successor(node), std::memory_order_acq_rel)) {
+                  next, next.successor(node), std::memory_order_acq_rel,
+                  "ms.E9.link_cas")) {
             // E10: break -- enqueue is done.
             // E13: try to swing Tail to the inserted node.  A thread halted
             // HERE has committed the enqueue but left Tail lagging -- the
             // window the helping paths (E12/D9) exist for.
             MSQ_PROBE("ms.E13");
-            tail_.value.compare_and_swap(tail, tail.successor(node), std::memory_order_acq_rel);
+            tail_.value.compare_and_swap(tail, tail.successor(node),
+                                         std::memory_order_acq_rel,
+                                         "ms.E13.tail_swing");
             MSQ_COUNT(kEnqueue);
             return true;
           }
@@ -114,7 +123,9 @@ class MsQueue {
           backoff.pause();
         } else {
           // E12: Tail was not pointing to the last node; try to swing it
-          tail_.value.compare_and_swap(tail, tail.successor(next.index()), std::memory_order_acq_rel);
+          tail_.value.compare_and_swap(tail, tail.successor(next.index()),
+                                       std::memory_order_acq_rel,
+                                       "ms.E12.tail_help");
         }
       }
     }
@@ -124,24 +135,33 @@ class MsQueue {
   bool try_dequeue(T& out) noexcept {
     BackoffPolicy backoff;
     for (;;) {  // D1: repeat
-      const Link head = head_.value.load(std::memory_order_acquire);  // D2
-      const Link tail = tail_.value.load(std::memory_order_acquire);  // D3
-      const Link next = pool_[head.index()].next.load(std::memory_order_acquire);  // D4
-      if (head == head_.value.load(std::memory_order_acquire)) {      // D5: consistent?
+      const Link head =
+          head_.value.load(std::memory_order_acquire, "ms.D2.head_load");
+      const Link tail =
+          tail_.value.load(std::memory_order_acquire, "ms.D3.tail_load");
+      const Link next = pool_[head.index()].next.load(
+          std::memory_order_acquire, "ms.D4.next_load");
+      // D5: consistent?
+      if (head == head_.value.load(std::memory_order_acquire,
+                                   "ms.D5.head_reload")) {
         if (head.index() == tail.index()) {  // D6: empty or Tail falling behind?
           if (next.is_null()) {              // D7: is queue empty?
             MSQ_COUNT(kDequeueEmpty);
             return false;                    // D8
           }
           // D9: Tail is falling behind; try to advance it
-          tail_.value.compare_and_swap(tail, tail.successor(next.index()), std::memory_order_acq_rel);
+          tail_.value.compare_and_swap(tail, tail.successor(next.index()),
+                                       std::memory_order_acq_rel,
+                                       "ms.D9.tail_help");
         } else {
           // D11: read value before CAS; otherwise another dequeue might
           // free the next node
-          const T value = pool_[next.index()].value.get();
+          const T value = pool_[next.index()].value.get("ms.D11.value_read");
           // D12: try to swing Head to the next node
           MSQ_PROBE_COUNT("ms.D12", kCasAttempt);
-          if (head_.value.compare_and_swap(head, head.successor(next.index()), std::memory_order_acq_rel)) {
+          if (head_.value.compare_and_swap(head, head.successor(next.index()),
+                                           std::memory_order_acq_rel,
+                                           "ms.D12.head_swing")) {
             out = value;                     // (D11's *pvalue assignment)
             freelist_.free(head.index());    // D14: free the old dummy node
             MSQ_COUNT(kDequeue);
@@ -166,6 +186,18 @@ class MsQueue {
     return freelist_.unsafe_size();
   }
 
+  /// Head, Tail and the link out of node `index` (racy snapshots; for
+  /// structural checks between simulator steps).
+  [[nodiscard]] Link unsafe_head() const noexcept {
+    return head_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_tail() const noexcept {
+    return tail_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_next(std::uint32_t index) const noexcept {
+    return pool_[index].next.load(std::memory_order_acquire);
+  }
+
   /// Bytes of one pool node (bench/fig_memory: peak_nodes x node_bytes).
   [[nodiscard]] static constexpr std::size_t node_bytes() noexcept {
     return sizeof(Node);
@@ -173,7 +205,7 @@ class MsQueue {
 
  private:
   struct Node {
-    mem::ValueCell<T> value;
+    mem::CellOf<T, Word> value;
     Word next;
   };
 

@@ -56,6 +56,7 @@ struct StampedLoopResult {
   std::uint64_t empty_dequeues = 0;    // dequeue retries on observed-empty
   std::uint64_t enqueue_failures = 0;  // enqueue retries on refusal
   std::uint64_t injected_stall_ns = 0;  // fault-layer sleep delivered
+  double other_work_seconds = 0;  // the threads' mean think_iters spin time
   obs::Histogram sojourn_ns;  // submit stamp -> dequeue, merged shards
 };
 
@@ -73,6 +74,7 @@ StampedLoopResult run_stamped_pairs(Q& queue,
   struct Shard {
     obs::Histogram sojourn_ns;
     std::uint64_t enq = 0, deq = 0, empty = 0, fail = 0, injected = 0;
+    std::int64_t spun_ns = 0;
   };
   std::vector<Shard> shards(threads);
   std::barrier start_barrier(static_cast<std::ptrdiff_t>(threads) + 1);
@@ -98,10 +100,11 @@ StampedLoopResult run_stamped_pairs(Q& queue,
         // algorithm window; injecting here would measure the driver
         MSQ_PROBE("bench.enq_retry");
         ++shard.fail;
-        std::this_thread::yield();  // single-core host: spinning starves
+        // threads > cores: the peer that would dequeue may be preempted
+        std::this_thread::yield();
       }
       ++shard.enq;
-      port::spin_work(config.think_iters);  // "other work"
+      port::spin_work_timed(config.think_iters, shard.spun_ns);  // "other work"
       std::uint64_t out = 0;
       while (!queue.try_dequeue(out)) {
         // fault-cover: same driver-loop exemption as bench.enq_retry
@@ -112,7 +115,7 @@ StampedLoopResult run_stamped_pairs(Q& queue,
       ++shard.deq;
       shard.sojourn_ns.record(static_cast<std::uint64_t>(port::now_ns()) -
                               out);
-      port::spin_work(config.think_iters);  // "other work", and repeat
+      port::spin_work_timed(config.think_iters, shard.spun_ns);  // and repeat
       if (!counted && ++done >= quota) {
         counted = true;
         // acq_rel: the last thread to reach quota must observe every
@@ -134,8 +137,9 @@ StampedLoopResult run_stamped_pairs(Q& queue,
     for (std::uint32_t t = 0; t < threads; ++t) {
       workers.emplace_back(worker, t);
     }
-    start_barrier.arrive_and_wait();
+    // Read before the release, as in harness/driver.hpp.
     const std::int64_t t0 = port::now_ns();
+    start_barrier.arrive_and_wait();
     workers.clear();  // join all
     result.elapsed_seconds = port::ns_to_seconds(port::now_ns() - t0);
   }
@@ -147,6 +151,8 @@ StampedLoopResult run_stamped_pairs(Q& queue,
     result.empty_dequeues += shard.empty;
     result.enqueue_failures += shard.fail;
     result.injected_stall_ns += shard.injected;
+    result.other_work_seconds += port::ns_to_seconds(shard.spun_ns) /
+                                 static_cast<double>(threads);
   }
   return result;
 }

@@ -1,27 +1,20 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <string_view>
+#include <utility>
 
 #include "obs/counters.hpp"
 
 namespace msq::sim {
 
-void Proc::OpAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  // The access happens NOW, as the final action of this step, unless weak
-  // memory parks it behind a buffer drain; the engine stores where to pick
-  // the process up next time it is scheduled.  The awaiter lives in the
-  // coroutine frame, so &result stays valid across any drain steps.
-  engine->process(proc).resume_point = h;
-  engine->submit(proc, op, &result);
-}
-
-void Proc::LabelAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  Engine::Process& p = engine->process(proc);
+void Proc::at(const char* label) {
+  Engine::Process& p = engine_->process(id_);
   p.label = label;
   p.last_step_cost = 0;
-  p.resume_point = h;
-  ++engine->steps_;
+  ++engine_->steps_;
+  engine_->yield(p);
 }
 
 void Proc::annotate(const char* label) noexcept {
@@ -34,24 +27,78 @@ Engine::Engine(EngineConfig config)
   if (config_.race_detect) hb_.emplace(config_.sync_model, race_log_);
 }
 
-Engine::~Engine() {
-  // Root Task destructors tear down any still-suspended coroutines.
+Engine::~Engine() { abandon_unfinished(); }
+
+std::uint32_t Engine::spawn(std::uint32_t processor,
+                            std::function<void(Proc&)> body) {
+  assert(processor < config_.processors);
+  const std::uint32_t id = static_cast<std::uint32_t>(processes_.size());
+  auto process = std::make_unique<Process>();
+  process->facade.reset(new Proc(this, id));
+  process->body = std::move(body);
+  process->processor = processor;
+  processes_.push_back(std::move(process));
+  return id;
 }
 
-void Engine::submit(std::uint32_t id, const PendingOp& op,
-                    std::uint64_t* result) {
-  Process& p = process(id);
-  if (needs_drain(op) && !p.store_buffer.empty()) {
-    // Fence semantics: the op refuses to execute until the buffer drains.
-    // This step is consumed reaching the fence (no shared access); each
-    // drain is its own visible step, then the op executes as one more.
+// The switching paths are always inlined, so that neither side adds frames
+// whose returns would mispredict after a switch (see port/fiber.cpp).
+[[gnu::always_inline]] inline void Engine::switch_in(Process& p) {
+  Proc* const outer = Proc::current_;
+  Proc::current_ = p.facade.get();
+  p.fiber.resume();
+  Proc::current_ = outer;
+  if (p.error) std::rethrow_exception(std::exchange(p.error, nullptr));
+}
+
+[[gnu::always_inline]] inline void Engine::yield(Process& p) {
+  p.fiber.suspend();
+  if (p.abandoning) {
+    if (p.facade->escape_ != nullptr) std::longjmp(*p.facade->escape_, 1);
+    throw detail::Abandoned{};
+  }
+}
+
+void Engine::fiber_main(void* process) {
+  Process& p = *static_cast<Process*>(process);
+  try {
+    p.body(*p.facade);
+  } catch (const detail::Abandoned&) {
+    // Unwound at engine teardown; nothing to report.
+  } catch (...) {
+    p.error = std::current_exception();
+  }
+  p.finished = true;
+  p.fiber.exit();
+}
+
+void Engine::abandon_unfinished() noexcept {
+  for (auto& p : processes_) {
+    if (p->started && !p->finished) {
+      p->abandoning = true;
+      switch_in(*p);
+    }
+  }
+}
+
+[[gnu::always_inline]] inline std::uint64_t Engine::perform(
+    Process& p, const PendingOp& op) {
+  if (op.site != nullptr) p.label = op.site;
+  if ((op.site != nullptr && p.freeze_label != nullptr &&
+       std::strcmp(op.site, p.freeze_label) == 0) ||
+      (needs_drain(op) && !p.store_buffer.empty())) {
+    // Park the op; this step only reaches it.  An access at the freeze
+    // label runs at the first step after the process is unfrozen.  A fence
+    // refuses to execute until the buffer drains: each drain is its own
+    // visible step, then the op executes as one more.
     p.has_pending = true;
     p.pending_op = op;
-    p.pending_result = result;
     ++steps_;
-    return;
+  } else {
+    p.result = execute(p.facade->id(), op);
   }
-  *result = execute(id, op);
+  yield(p);
+  return p.result;
 }
 
 std::uint64_t Engine::execute(std::uint32_t id, const PendingOp& op) {
@@ -87,7 +134,7 @@ std::uint64_t Engine::execute(std::uint32_t id, const PendingOp& op) {
         }
       }
     }
-    // RMWs and seq_cst stores reach here with an EMPTY buffer (submit()
+    // RMWs and seq_cst stores reach here with an EMPTY buffer (perform()
     // parks them otherwise) and act on memory directly -- write-through.
     assert(!needs_drain(op) || p.store_buffer.empty());
   }
@@ -154,6 +201,10 @@ std::uint64_t Engine::execute(std::uint32_t id, const PendingOp& op) {
   return result;
 }
 
+std::uint64_t Proc::access(const PendingOp& op) {
+  return engine_->perform(engine_->process(id_), op);
+}
+
 void Engine::flush_oldest(std::uint32_t id) {
   Process& p = process(id);
   assert(!p.store_buffer.empty());
@@ -178,30 +229,27 @@ void Engine::flush_one(std::uint32_t id) {
   flush_oldest(id);
 }
 
-void Engine::resume_one(std::uint32_t id) {
+[[gnu::always_inline]] inline void Engine::resume_one(std::uint32_t id) {
   Process& p = process(id);
   p.last_step_cost = 0;
   last_access_ = {};  // set again by execute() iff this step touches memory
   if (p.has_pending) {
-    // A fence op is parked.  Drain one buffered store per step; once the
-    // buffer is empty the op itself executes as this step, and the
-    // coroutine resumes (reading the op's result) on a later step.
-    if (!p.store_buffer.empty()) {
+    // A parked op.  A fence drains one buffered store per step; once the
+    // buffer is empty the op itself executes as this step, and the process
+    // resumes (reading the op's result) on a later step.
+    if (needs_drain(p.pending_op) && !p.store_buffer.empty()) {
       flush_oldest(id);
       return;
     }
     p.has_pending = false;
-    *p.pending_result = execute(id, p.pending_op);
-    p.pending_result = nullptr;
+    p.result = execute(id, p.pending_op);
     return;
   }
   if (!p.started) {
     p.started = true;
-    p.root->start();
-  } else {
-    p.resume_point.resume();
+    p.fiber.start(&fiber_main, &p, id);
   }
-  if (p.root->done()) p.finished = true;
+  switch_in(p);
 }
 
 bool Engine::step(std::uint32_t id) {
@@ -247,16 +295,6 @@ void Engine::freeze_at_label(std::uint32_t id, const char* label) {
 bool Engine::all_done() const {
   return std::all_of(processes_.begin(), processes_.end(), [](const auto& p) {
     return p->finished && p->store_buffer.empty();
-  });
-}
-
-bool Engine::runnable_exists() const {
-  // A stalled process counts: it becomes runnable again by itself.  A
-  // finished process with a nonempty store buffer also counts: its
-  // remaining flush steps still make progress.
-  return std::any_of(processes_.begin(), processes_.end(), [](const auto& p) {
-    if (p->crashed || p->frozen) return false;
-    return !p->finished || !p->store_buffer.empty();
   });
 }
 

@@ -1,5 +1,6 @@
-// The simulated multiprocessor: virtual processes (coroutines) advancing
-// one shared-memory access per step under an engine-owned schedule.
+// The simulated multiprocessor: virtual processes (stackful fibers)
+// advancing one shared-memory access per step under an engine-owned
+// schedule.
 //
 // This is the substitute for the paper's 12-node SGI Challenge (DESIGN.md
 // section 4).  Two modes share all algorithm code:
@@ -22,6 +23,13 @@
 // episode.  The access is applied atomically at the step boundary, giving
 // sequential consistency, the model the paper's pseudo-code assumes.
 //
+// Processes are fibers: a Proc call (read, cas, work, at, ...) is an
+// ordinary call that performs its access as the last action of the current
+// step, switches back to the engine, and returns the result when the
+// process is next scheduled.  So any plain C++ code -- including the
+// shipped queues/ms_queue.hpp, through the words of sim/shipped.hpp -- runs
+// under the simulator unchanged.
+//
 // Weak-memory mode (EngineConfig::weak_memory): every access additionally
 // declares a check::MemOrder, and stores weaker than seq_cst go into a
 // per-process FIFO store buffer instead of memory -- visible to the issuing
@@ -37,18 +45,20 @@
 #pragma once
 
 #include <cassert>
-#include <coroutine>
+#include <csetjmp>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "check/race.hpp"
+#include "port/fiber.hpp"
 #include "port/prng.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/memory.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 
@@ -65,78 +75,81 @@ struct PendingOp {
   std::uint64_t operand_b = 0;  // CAS desired
   double work_cost = 0;         // kWork only
   MemOrder order = MemOrder::kSeqCst;
+  // Site name of the access (sim/shipped.hpp words), or nullptr.  A named
+  // access labels the process itself, so freeze_at_label(site) stops the
+  // process just before that access takes effect.
+  const char* site = nullptr;
 };
 
-/// Per-process facade passed into algorithm coroutines; its methods return
-/// awaitables that suspend the coroutine for exactly one engine step.
+namespace detail {
+/// Thrown inside a process abandoned at engine destruction, so its stack
+/// unwinds and releases what it holds.
+struct Abandoned {};
+}  // namespace detail
+
+/// Per-process facade passed into process bodies.  Each access is one
+/// engine step: the call returns once the process is scheduled again.
 class Proc {
  public:
-  struct OpAwaiter {
-    Engine* engine;
-    std::uint32_t proc;
-    PendingOp op;
-    std::uint64_t result = 0;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) noexcept;
-    std::uint64_t await_resume() const noexcept { return result; }
-  };
-
   // Every access may declare the memory order its real C++ counterpart
   // uses (default seq_cst: the paper's SC model).  Orders are semantic only
   // under race_detect with SyncModel::kOrders (synchronizes-with edges) and
   // under EngineConfig::weak_memory (store buffering); otherwise ignored.
-  [[nodiscard]] OpAwaiter read(Addr a,
-                               MemOrder o = MemOrder::kSeqCst) noexcept {
-    return {engine_, id_, {OpKind::kRead, a, 0, 0, 0, o}};
+  std::uint64_t read(Addr a, MemOrder o = MemOrder::kSeqCst) {
+    return access({OpKind::kRead, a, 0, 0, 0, o});
   }
-  [[nodiscard]] OpAwaiter write(Addr a, std::uint64_t v,
-                                MemOrder o = MemOrder::kSeqCst) noexcept {
-    return {engine_, id_, {OpKind::kWrite, a, v, 0, 0, o}};
+  void write(Addr a, std::uint64_t v, MemOrder o = MemOrder::kSeqCst) {
+    access({OpKind::kWrite, a, v, 0, 0, o});
   }
   /// Returns the OLD value; the CAS succeeded iff old == expected.
-  [[nodiscard]] OpAwaiter cas(Addr a, std::uint64_t expected,
-                              std::uint64_t desired,
-                              MemOrder o = MemOrder::kSeqCst) noexcept {
-    return {engine_, id_, {OpKind::kCas, a, expected, desired, 0, o}};
+  std::uint64_t cas(Addr a, std::uint64_t expected, std::uint64_t desired,
+                    MemOrder o = MemOrder::kSeqCst) {
+    return access({OpKind::kCas, a, expected, desired, 0, o});
   }
   /// fetch_and_add; returns the OLD value.
-  [[nodiscard]] OpAwaiter faa(Addr a, std::uint64_t delta,
-                              MemOrder o = MemOrder::kSeqCst) noexcept {
-    return {engine_, id_, {OpKind::kFaa, a, delta, 0, 0, o}};
+  std::uint64_t faa(Addr a, std::uint64_t delta,
+                    MemOrder o = MemOrder::kSeqCst) {
+    return access({OpKind::kFaa, a, delta, 0, 0, o});
   }
   /// fetch_and_store (unconditional swap); returns the OLD value.
-  [[nodiscard]] OpAwaiter swap(Addr a, std::uint64_t v,
-                               MemOrder o = MemOrder::kSeqCst) noexcept {
-    return {engine_, id_, {OpKind::kSwap, a, v, 0, 0, o}};
+  std::uint64_t swap(Addr a, std::uint64_t v, MemOrder o = MemOrder::kSeqCst) {
+    return access({OpKind::kSwap, a, v, 0, 0, o});
   }
   /// Local work of `cost` units (the paper's ~6us spin, backoff episodes).
-  [[nodiscard]] OpAwaiter work(double cost) noexcept {
-    return {engine_, id_, {OpKind::kWork, 0, 0, 0, cost}};
-  }
+  void work(double cost) { access({OpKind::kWork, 0, 0, 0, cost}); }
+  /// One access as one step; the result of a read/RMW (0 otherwise).
+  std::uint64_t access(const PendingOp& op);
 
-  struct LabelAwaiter {
-    Engine* engine;
-    std::uint32_t proc;
-    const char* label;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) noexcept;
-    void await_resume() const noexcept {}
-  };
-
-  /// Suspend at a labelled pseudo-code line (zero cost): after this step the
+  /// A zero-cost step at a labelled pseudo-code line: after it the
   /// process's label is `label` and its NEXT step executes the labelled
   /// operation.  freeze_at_label() therefore stalls a process after it has
   /// committed to an operation but before the operation takes effect --
   /// precisely the windows the paper's liveness argument (section 3.3) and
   /// the historical race conditions are about.
-  [[nodiscard]] LabelAwaiter at(const char* label) noexcept {
-    return {engine_, id_, label};
-  }
+  void at(const char* label);
 
-  /// Tag the process without suspending (status only, not a stall point).
+  /// Tag the process without a step (status only, not a stall point).
   void annotate(const char* label) noexcept;
+
+  /// Run `f`, a call into noexcept shipped code, so that the process can
+  /// still unwind if it is abandoned inside it: the abandoned process
+  /// leaves `f`'s frames (which must hold only trivially destructible
+  /// locals) by longjmp and unwinds from here.  `context` is readable as
+  /// context() during the call.  Not reentrant.
+  template <typename F>
+  auto shielded(const void* context, F&& f) -> decltype(f()) {
+    std::jmp_buf env;
+    if (setjmp(env) != 0) throw detail::Abandoned{};
+    escape_ = &env;
+    context_ = context;
+    auto result = f();
+    escape_ = nullptr;
+    return result;
+  }
+  [[nodiscard]] const void* context() const noexcept { return context_; }
+
+  /// The process running on this thread, or nullptr outside any process.
+  [[nodiscard]] static Proc* current() noexcept { return current_; }
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
   [[nodiscard]] Engine& engine() noexcept { return *engine_; }
@@ -145,8 +158,12 @@ class Proc {
   friend class Engine;
   Proc(Engine* engine, std::uint32_t id) noexcept : engine_(engine), id_(id) {}
 
+  static constinit inline thread_local Proc* current_ = nullptr;
+
   Engine* engine_;
   std::uint32_t id_;
+  std::jmp_buf* escape_ = nullptr;
+  const void* context_ = nullptr;
 };
 
 struct EngineConfig {
@@ -179,20 +196,12 @@ class Engine {
   [[nodiscard]] const SimMemory& memory() const noexcept { return memory_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
-  /// Create a virtual process pinned to `processor` and hand it a root
-  /// coroutine built from its Proc facade.  The factory is invoked
-  /// immediately; the coroutine body runs lazily, one step at a time.
-  template <typename Factory>  // Factory: Task<void>(Proc&)
-  std::uint32_t spawn(std::uint32_t processor, Factory&& factory) {
-    const std::uint32_t id = static_cast<std::uint32_t>(processes_.size());
-    auto proc = std::unique_ptr<Proc>(new Proc(this, id));
-    processes_.push_back(std::make_unique<Process>());
-    processes_.back()->facade = std::move(proc);
-    processes_.back()->processor = processor;
-    processes_.back()->root.emplace(factory(*processes_.back()->facade));
-    assert(processor < config_.processors);
-    return id;
-  }
+  /// Create a virtual process pinned to `processor` whose body is `body`.
+  /// The body runs lazily on the process's own stack, one step at a time,
+  /// starting with the process's first step; it is kept (with its
+  /// captures) until the engine is destroyed.
+  std::uint32_t spawn(std::uint32_t processor,
+                      std::function<void(Proc&)> body);
 
   // --- schedule-exploration interface -----------------------------------
   /// Advance process `id` by one step.  Returns false if it is done.
@@ -236,7 +245,6 @@ class Engine {
     return p.finished && p.store_buffer.empty();
   }
   [[nodiscard]] bool all_done() const;
-  [[nodiscard]] bool runnable_exists() const;
   [[nodiscard]] const char* label(std::uint32_t id) const {
     return process(id).label;
   }
@@ -250,9 +258,6 @@ class Engine {
   double run_cost_model();
 
   [[nodiscard]] std::uint64_t total_steps() const noexcept { return steps_; }
-  [[nodiscard]] double clock_of_processor(std::uint32_t processor) const {
-    return processors_.at(processor).clock;
-  }
 
   // --- race-detection interface (check/race.hpp) --------------------------
   /// Reports collected so far (empty unless config.race_detect).
@@ -262,8 +267,8 @@ class Engine {
   [[nodiscard]] check::RaceLog& races() noexcept { return race_log_; }
 
   /// The shared-memory access performed by the most recent step, if any
-  /// (label suspensions, work episodes, idle stall ticks and final
-  /// co_returns perform none).  The DPOR explorer uses this to build its
+  /// (label steps, work episodes, idle stall ticks and final returns
+  /// perform none).  The DPOR explorer uses this to build its
   /// dependence relation without reaching into the engine's internals.
   /// Weak-memory mode adds three refinements: a `buffered` store entered
   /// the issuing process's store buffer (not yet globally visible -- a
@@ -294,16 +299,15 @@ class Engine {
   void flush_one(std::uint32_t id);
   /// Can `id` make PROGRAM progress this step?  False while a fence (RMW or
   /// seq_cst store) waits on the buffer to drain -- then only flush steps
-  /// are enabled -- and false once the root coroutine finished.
+  /// are enabled -- and false once the process body returned.
   [[nodiscard]] bool can_advance(std::uint32_t id) const {
     const Process& p = process(id);
     return !p.finished && !p.crashed && !p.frozen &&
-           !(p.has_pending && !p.store_buffer.empty());
+           !(p.has_pending && needs_drain(p.pending_op) &&
+             !p.store_buffer.empty());
   }
 
  private:
-  friend struct Proc::OpAwaiter;
-  friend struct Proc::LabelAwaiter;
   friend class Proc;
 
   /// One store sitting in a process's TSO buffer, waiting to be flushed.
@@ -316,25 +320,26 @@ class Engine {
 
   struct Process {
     std::unique_ptr<Proc> facade;
-    std::optional<Task<void>> root;
-    std::coroutine_handle<> resume_point = nullptr;
+    std::function<void(Proc&)> body;
+    port::Fiber fiber;  // runs body; started at the first step
+    std::exception_ptr error;  // escaped the body; rethrown by the engine
     std::uint32_t processor = 0;
     bool started = false;
     bool finished = false;
     bool frozen = false;
     bool crashed = false;
+    bool abandoning = false;  // engine teardown: unwind at the next resume
     std::uint64_t stall_remaining = 0;
     const char* label = "";
     const char* freeze_label = nullptr;
     double last_step_cost = 0;
-    // Weak-memory state: the FIFO store buffer, plus a fence op (RMW or
-    // seq_cst store) parked until the buffer drains.  `pending_result`
-    // points into the suspended OpAwaiter, whose frame stays alive across
-    // the drain steps.
+    std::uint64_t result = 0;  // of the access the process waits on
+    // An access parked instead of executed: a fence op (RMW or seq_cst
+    // store) waiting for the weak-memory buffer to drain, or an access
+    // whose site is the process's freeze label.
     std::vector<BufferedStore> store_buffer;
     bool has_pending = false;
     PendingOp pending_op{OpKind::kWork};
-    std::uint64_t* pending_result = nullptr;
 
     [[nodiscard]] bool runnable() const noexcept {
       return !finished && !frozen && !crashed && stall_remaining == 0;
@@ -353,12 +358,22 @@ class Engine {
     return *processes_.at(id);
   }
 
-  /// Apply `op` to memory and charge its cost; called from await_suspend.
+  /// Apply `op` to memory and charge its cost.
   std::uint64_t execute(std::uint32_t id, const PendingOp& op);
 
-  /// Entry point from OpAwaiter::await_suspend: execute `op` now, or (weak
-  /// mode, fence op, buffer nonempty) park it until the buffer drains.
-  void submit(std::uint32_t id, const PendingOp& op, std::uint64_t* result);
+  /// Fiber side of Proc::access: execute `op` now, or park it (weak-memory
+  /// fence with a nonempty buffer, or a site the process is to freeze at),
+  /// then yield until the process is next scheduled.
+  std::uint64_t perform(Process& p, const PendingOp& op);
+
+  /// Fiber side: switch to the engine; on return, unwind if abandoned.
+  void yield(Process& p);
+
+  /// Engine side: run process `p` until it yields or finishes.
+  void switch_in(Process& p);
+
+  /// Entry point of every process's fiber: runs the body, then exits.
+  static void fiber_main(void* process);
 
   /// Does `op` require the issuing process's store buffer to be empty?
   [[nodiscard]] bool needs_drain(const PendingOp& op) const noexcept {
@@ -375,6 +390,9 @@ class Engine {
 
   /// Resume process `id` for one step (it must be runnable).
   void resume_one(std::uint32_t id);
+
+  /// Unwind every process that started but did not finish.
+  void abandon_unfinished() noexcept;
 
   /// One engine step elapsed: tick down every live process's stall counter.
   void tick_stalls() noexcept;

@@ -23,7 +23,7 @@
 //    covers every Mazurkiewicz trace -- every reachable terminal state --
 //    in a fraction of the schedules (tests assert the reduction ratio).
 //
-// Because coroutine state cannot be snapshotted, exploration is by REPLAY:
+// Because a process's stack cannot be snapshotted, exploration is by REPLAY:
 // each schedule is re-run from a fresh engine built by the caller's
 // factory, which must produce a deterministic world (no jitter, no
 // step_random) for DPOR's prefix replay to be sound.

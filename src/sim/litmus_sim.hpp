@@ -20,7 +20,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/mo_table.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 
@@ -33,11 +32,11 @@ class SbLitmus {
         mo_load_(mo_resolve(mo, "sb.load_peer")) {}
 
   /// Process `who` (0 or 1) stores its flag, then loads the peer's.
-  Task<void> run(Proc& p, int who) {
+  void run(Proc& p, int who) {
     const Addr mine = who == 0 ? x_ : y_;
     const Addr peer = who == 0 ? y_ : x_;
-    co_await p.write(mine, 1, mo_store_);
-    const std::uint64_t seen = co_await p.read(peer, mo_load_);
+    p.write(mine, 1, mo_store_);
+    const std::uint64_t seen = p.read(peer, mo_load_);
     r_[who] = seen;
   }
 
@@ -64,15 +63,14 @@ class MpLitmus {
         mo_store_(mo_resolve(mo, "mp.flag_store")),
         mo_load_(mo_resolve(mo, "mp.flag_load")) {}
 
-  Task<void> producer(Proc& p) {
-    co_await p.write(data_, 42, check::MemOrder::kPlain);
-    co_await p.write(flag_, 1, mo_store_);
+  void producer(Proc& p) {
+    p.write(data_, 42, check::MemOrder::kPlain);
+    p.write(flag_, 1, mo_store_);
   }
 
-  Task<void> consumer(Proc& p) {
-    const std::uint64_t flag = co_await p.read(flag_, mo_load_);
-    if (flag == 1) {
-      const std::uint64_t data = co_await p.read(data_, check::MemOrder::kPlain);
+  void consumer(Proc& p) {
+    if (p.read(flag_, mo_load_) == 1) {
+      const std::uint64_t data = p.read(data_, check::MemOrder::kPlain);
       observed_ = data;
       saw_flag_ = true;
     }

@@ -23,57 +23,51 @@ class SimMcQueue final : public SimQueue {
         tail_(engine.memory().alloc(1)),
         backoff_max_(backoff_max) {
     SimMemory& mem = engine.memory();
-    const auto free_top =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.free_top_addr()));
-    const std::uint32_t dummy = free_top.index();
-    mem.word(pool_.free_top_addr()) =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.next_addr(dummy))).bits();
-    mem.word(pool_.next_addr(dummy)) = tagged::TaggedIndex{}.bits();
+    const std::uint32_t dummy = pool_.take_dummy();
     mem.word(head_) = tagged::TaggedIndex(dummy, 0).bits();
     mem.word(tail_) = tagged::TaggedIndex(dummy, 0).bits();
   }
 
   [[nodiscard]] const char* name() const noexcept override { return "MC"; }
 
-  Task<bool> enqueue(Proc& p, std::uint64_t value) override {
-    const std::uint32_t node = co_await pool_.allocate(p);
-    if (node == tagged::kNullIndex) co_return false;
-    co_await p.write(pool_.value_addr(node), value);
-    co_await p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits());
+  bool enqueue(Proc& p, std::uint64_t value) override {
+    const std::uint32_t node = pool_.allocate(p);
+    if (node == tagged::kNullIndex) return false;
+    p.write(pool_.value_addr(node), value);
+    p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits());
     // fetch_and_store: claim the tail position unconditionally.
     const auto prev = tagged::TaggedIndex::from_bits(
-        co_await p.swap(tail_, tagged::TaggedIndex(node, 0).bits()));
-    co_await p.at("MC_LINK");  // the blocking window
-    co_await p.write(pool_.next_addr(prev.index()),
-                     tagged::TaggedIndex(node, 0).bits());
-    co_return true;
+        p.swap(tail_, tagged::TaggedIndex(node, 0).bits()));
+    p.at("MC_LINK");  // the blocking window
+    p.write(pool_.next_addr(prev.index()),
+            tagged::TaggedIndex(node, 0).bits());
+    return true;
   }
 
-  Task<std::uint64_t> dequeue(Proc& p) override {
+  std::uint64_t dequeue(Proc& p) override {
     SimBackoff backoff(backoff_max_);
     for (;;) {
-      const auto head = tagged::TaggedIndex::from_bits(co_await p.read(head_));
+      const auto head = tagged::TaggedIndex::from_bits(p.read(head_));
       const auto next = tagged::TaggedIndex::from_bits(
-          co_await p.read(pool_.next_addr(head.index())));
+          p.read(pool_.next_addr(head.index())));
       if (next.is_null()) {
-        const auto tail = tagged::TaggedIndex::from_bits(co_await p.read(tail_));
-        const std::uint64_t head_again = co_await p.read(head_);
+        const auto tail = tagged::TaggedIndex::from_bits(p.read(tail_));
+        const std::uint64_t head_again = p.read(head_);
         if (tail.index() == head.index() && head.bits() == head_again) {
-          co_return kEmpty;
+          return kEmpty;
         }
         // An enqueuer holds the claim on head->next: WAIT for its link.
-        co_await p.work(backoff.next());
+        p.work(backoff.next());
         continue;
       }
-      const std::uint64_t value = co_await p.read(pool_.value_addr(next.index()));
-      co_await p.at("MC_SWING");
-      const std::uint64_t swung = co_await p.cas(
-          head_, head.bits(), head.successor(next.index()).bits());
-      if (swung == head.bits()) {
-        co_await pool_.free(p, head.index());
-        co_return value;
+      const std::uint64_t value = p.read(pool_.value_addr(next.index()));
+      p.at("MC_SWING");
+      if (p.cas(head_, head.bits(), head.successor(next.index()).bits()) ==
+          head.bits()) {
+        pool_.free(p, head.index());
+        return value;
       }
-      co_await p.work(backoff.next());
+      p.work(backoff.next());
     }
   }
 

@@ -1,11 +1,15 @@
-// The memory-order site table: the single source of truth for which
-// MemOrder every annotated sim-model access uses, what its real C++
-// counterpart is, and -- the part that makes the orders PROVABLE -- which
-// capability of the order is load-bearing.
+// The memory-order site table: for every named access, which capability
+// of its order is load-bearing -- the part that makes the orders PROVABLE
+// -- and, for the hand-written sim models, which MemOrder they use.
 //
-// Each site names one access in a sim model (sim/ms_queue_sim.hpp,
-// sim/valois_queue_sim.hpp, sim/sim_freelist.hpp, sim/sim_lock.hpp, or the
-// litmus worlds in tools/mo_mutation_sweep.cpp).  The mutation sweep
+// The ms.* and fl.* sites are accesses of the shipped code itself
+// (queues/ms_queue.hpp, mem/freelist.hpp), which passes each site's name
+// next to its std::memory_order; the simulator runs that code over
+// sim/shipped.hpp's words, so those rows declare no order of their own:
+// the order is whatever the shipped line passes.  The other sites name one
+// access in a sim model (sim/valois_queue_sim.hpp, sim/sim_lock.hpp,
+// sim/scq_ring_sim.hpp, or the litmus worlds in
+// tools/mo_mutation_sweep.cpp).  The mutation sweep
 // weakens each site one notch at a time and asserts the explorer's verdict
 // matches the site's needs_* flags:
 //
@@ -22,13 +26,15 @@
 // docs/ALGORITHMS.md "Memory orders" and tools/mo_mutation_sweep.cpp.
 //
 // tools/atomics_lint.py parses this table (the MSQ_MO_SITE rows) to
-// validate `proof: mo-sweep:<site>` references in the real sources, so
+// validate `proof: mo-sweep:<site>` references in the real sources and to
+// check that every ms.*/fl.* site is named on exactly one shipped line, so
 // site names are part of the repo's lint contract: rename with care.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -41,7 +47,7 @@ enum class MoKind : std::uint8_t { kLoad, kStore, kRmw };
 struct MoSite {
   const char* name;
   MoKind kind;
-  check::MemOrder annotated;
+  std::optional<check::MemOrder> annotated;  // kShipped: the code's own
   bool needs_acquire = false;
   bool needs_release = false;
   bool needs_atomic = false;
@@ -49,33 +55,41 @@ struct MoSite {
   const char* note = "";
 };
 
+/// The order of a shipped-code site: the one its line passes.
+inline constexpr std::optional<check::MemOrder> kShipped = std::nullopt;
+
 // clang-format off
 #define MSQ_MO_SITE(...) ::msq::sim::MoSite{__VA_ARGS__}
 inline constexpr MoSite kMoSites[] = {
-    // --- MS queue (sim/ms_queue_sim.hpp; real: queues/ms_queue.hpp) -----
-    MSQ_MO_SITE("ms.E2.value_write", MoKind::kStore, check::MemOrder::kRelaxed,
+    // --- MS queue (queues/ms_queue.hpp) ---------------------------------
+    MSQ_MO_SITE("ms.E2.value_write", MoKind::kStore, kShipped,
                 false, false, true, false,
                 "mem/value_cell.hpp put(): atomicity defends the D11 "
                 "read-before-validate of a concurrently recycled node; "
                 "ordering rides E9/D4"),
-    MSQ_MO_SITE("ms.E3.next_init", MoKind::kStore, check::MemOrder::kRelease,
+    MSQ_MO_SITE("ms.E3.next_init", MoKind::kStore, kShipped,
                 false, false, true, false,
                 "counted null keeps the tag monotone across recycles; "
                 "release is masked by E9's (the only nulls readers chase "
                 "are pre-publication)"),
-    MSQ_MO_SITE("ms.E5.tail_load", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.E3.next_count", MoKind::kLoad, kShipped,
+                false, false, false, false,
+                "reads the fresh node's own link count to bump it; the node "
+                "is private between E1 and E9, and stale E6 readers only "
+                "read it too"),
+    MSQ_MO_SITE("ms.E5.tail_load", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "tail is a performance hint guarded by counted tags; every "
                 "value publication flows through E9 -- matches GenMC's "
                 "relaxed-tail ms-queue"),
-    MSQ_MO_SITE("ms.E6.next_load", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.E6.next_load", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "E7 revalidation + tags make a stale read harmless; "
                 "atomicity still required (concurrent E9/E3 writers)"),
-    MSQ_MO_SITE("ms.E7.tail_reload", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.E7.tail_reload", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "consistency re-check only; compared, never dereferenced"),
-    MSQ_MO_SITE("ms.E9.link_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("ms.E9.link_cas", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "the publication edge -- yet individually masked: the free "
                 "list's acq_rel CASes republish every enqueue (allocate "
@@ -83,64 +97,73 @@ inline constexpr MoSite kMoSites[] = {
                 "it before D13 returns), so the sweep proves no single "
                 "weakening here is observable.  Pool-decoupled deployments "
                 "(magazine caches) would restore its load-bearing role"),
-    MSQ_MO_SITE("ms.E13.tail_swing", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("ms.E13.tail_swing", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "masked by E9: the swing republishes what the link CAS "
                 "already released.  The sweep proves the relaxation safe; "
                 "the real port keeps acq_rel for non-TSO targets"),
-    MSQ_MO_SITE("ms.E12.tail_help", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("ms.E12.tail_help", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "helping CAS; same masking as E13"),
-    MSQ_MO_SITE("ms.D2.head_load", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.D2.head_load", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "D5 revalidation + D12's acq_rel carry the ordering; "
                 "atomicity required (concurrent D12 writers)"),
-    MSQ_MO_SITE("ms.D3.tail_load", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.D3.tail_load", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "compared at D6, never dereferenced"),
-    MSQ_MO_SITE("ms.D4.next_load", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.D4.next_load", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "the consume edge, masked like ms.E9 (D14's free-list pop "
                 "re-acquires the payload before the value is returned); "
                 "atomicity IS load-bearing: a plain D4 races with the "
                 "concurrent E9 link CAS"),
-    MSQ_MO_SITE("ms.D5.head_reload", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("ms.D5.head_reload", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "consistency re-check only"),
-    MSQ_MO_SITE("ms.D9.tail_help", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("ms.D9.tail_help", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "helping CAS; see ms.E13.tail_swing"),
-    MSQ_MO_SITE("ms.D11.value_read", MoKind::kLoad, check::MemOrder::kRelaxed,
+    MSQ_MO_SITE("ms.D11.value_read", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "mem/value_cell.hpp get(): may read a node recycled after "
                 "D4 (discarded when D12 fails) -- the exact race plain "
                 "data cannot survive"),
-    MSQ_MO_SITE("ms.D12.head_swing", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("ms.D12.head_swing", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "the dummy hand-off to the free list is published by D14's "
                 "push CAS, and head readers revalidate at D5, so the sweep "
                 "proves no single weakening here observable"),
 
-    // --- Treiber free list (sim/sim_freelist.hpp; real: mem/freelist.hpp)
-    MSQ_MO_SITE("fl.pop_top", MoKind::kLoad, check::MemOrder::kAcquire,
+    // --- Treiber free list (mem/freelist.hpp) ---------------------------
+    MSQ_MO_SITE("fl.pop_top", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "acquire is belt-and-braces: pop_cas's acquire side covers "
                 "the ownership hand-off when this load is relaxed"),
-    MSQ_MO_SITE("fl.pop_next", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("fl.pop_next", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "read of a node another thread may concurrently pop-and-"
                 "push (the Treiber ABA window): atomicity load-bearing, "
                 "ordering masked by push_link's release"),
-    MSQ_MO_SITE("fl.pop_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("fl.pop_cas", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "the ownership hand-off needs an acquire on the pop path, "
                 "but pop_top's acquire and pop_cas's are mutually "
                 "redundant -- the sweep proves either alone suffices"),
-    MSQ_MO_SITE("fl.push_link", MoKind::kStore, check::MemOrder::kRelease,
+    MSQ_MO_SITE("fl.push_count", MoKind::kLoad, kShipped,
+                false, false, false, false,
+                "reads the freed node's own link count to bump it; the "
+                "node is private until push_cas publishes it"),
+    MSQ_MO_SITE("fl.push_top", MoKind::kLoad, kShipped,
+                false, false, true, false,
+                "the top a push links above; compared by push_cas, never "
+                "dereferenced, but a plain read races with concurrent "
+                "pop/push CASes"),
+    MSQ_MO_SITE("fl.push_link", MoKind::kStore, kShipped,
                 false, false, true, false,
                 "monotone-tag link write; stale traversals read it "
                 "concurrently (atomicity), ordering masked by push_cas"),
-    MSQ_MO_SITE("fl.push_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("fl.push_cas", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "release publishes the freed node's final state, but "
                 "push_link's release already does too (the popper reads "
@@ -308,22 +331,19 @@ inline constexpr MoSite kMoSites[] = {
   return nullptr;
 }
 
-/// Order overrides for mutation runs.  Models resolve each site ONCE at
-/// construction (resolve() is a linear scan), so a table must be mutated
-/// before the model is built -- which is how the sweep works: fresh world
-/// per schedule, table fixed for the world's lifetime.
+/// Order overrides for mutation runs.  The hand models resolve each site
+/// once at construction; the shipped code's words look up every named
+/// access (sim/shipped.hpp) -- either way a table is fixed for the
+/// lifetime of the world it was built with, which is how the sweep works:
+/// fresh world per schedule.
 class MoTable {
  public:
-  /// The annotated order, unless overridden.  Unknown sites assert: a typo
-  /// here would silently un-annotate a model.
-  [[nodiscard]] check::MemOrder resolve(const char* site) const noexcept {
-    const MoSite* s = mo_find(site);
-    assert(s != nullptr && "unknown memory-order site");
-    if (s == nullptr) return check::MemOrder::kSeqCst;
+  /// The overriding order of `site`, or nullptr.
+  [[nodiscard]] const check::MemOrder* find(const char* site) const noexcept {
     for (const auto& [name, order] : overrides_) {
-      if (std::strcmp(name, site) == 0) return order;
+      if (std::strcmp(name, site) == 0) return &order;
     }
-    return s->annotated;
+    return nullptr;
   }
 
   /// Override one site (the sweep's single-mutation entry point).
@@ -338,28 +358,32 @@ class MoTable {
   std::vector<std::pair<const char*, check::MemOrder>> overrides_;
 };
 
-/// Resolve helper for model constructors: annotated order when no table is
-/// supplied (the common case outside the sweep).
+/// Resolve helper for hand-model constructors: the site's declared order
+/// unless `table` overrides it.  Unknown or shipped-code sites assert: a
+/// typo here would silently un-annotate a model.
 [[nodiscard]] inline check::MemOrder mo_resolve(const MoTable* table,
                                                 const char* site) noexcept {
-  if (table != nullptr) return table->resolve(site);
   const MoSite* s = mo_find(site);
-  assert(s != nullptr && "unknown memory-order site");
-  return s != nullptr ? s->annotated : check::MemOrder::kSeqCst;
+  assert(s != nullptr && s->annotated && "unknown memory-order site");
+  if (table != nullptr) {
+    if (const check::MemOrder* o = table->find(site)) return *o;
+  }
+  return s != nullptr ? s->annotated.value_or(check::MemOrder::kSeqCst)
+                      : check::MemOrder::kSeqCst;
 }
 
-/// Every strictly weaker order a site can be mutated to, respecting the
-/// access kind (an RMW cannot be plain; a load cannot "lose release").
+/// Every strictly weaker order an access of `kind` at `base` can be
+/// mutated to (an RMW cannot be plain; a load cannot "lose release").
 [[nodiscard]] inline std::vector<check::MemOrder> mo_weakenings(
-    const MoSite& s) {
+    MoKind kind, check::MemOrder base) {
   using check::MemOrder;
   std::vector<MemOrder> out;
-  switch (s.annotated) {
+  switch (base) {
     case MemOrder::kSeqCst:
-      if (s.kind == MoKind::kRmw) {
+      if (kind == MoKind::kRmw) {
         out = {MemOrder::kAcqRel, MemOrder::kAcquire, MemOrder::kRelease,
                MemOrder::kRelaxed};
-      } else if (s.kind == MoKind::kStore) {
+      } else if (kind == MoKind::kStore) {
         out = {MemOrder::kRelease, MemOrder::kRelaxed, MemOrder::kPlain};
       } else {
         out = {MemOrder::kAcquire, MemOrder::kRelaxed, MemOrder::kPlain};
@@ -369,17 +393,13 @@ class MoTable {
       out = {MemOrder::kAcquire, MemOrder::kRelease, MemOrder::kRelaxed};
       break;
     case MemOrder::kAcquire:
-      out = (s.kind == MoKind::kRmw)
-                ? std::vector<MemOrder>{MemOrder::kRelaxed}
-                : std::vector<MemOrder>{MemOrder::kRelaxed, MemOrder::kPlain};
-      break;
     case MemOrder::kRelease:
-      out = (s.kind == MoKind::kRmw)
+      out = (kind == MoKind::kRmw)
                 ? std::vector<MemOrder>{MemOrder::kRelaxed}
                 : std::vector<MemOrder>{MemOrder::kRelaxed, MemOrder::kPlain};
       break;
     case MemOrder::kRelaxed:
-      if (s.kind != MoKind::kRmw) out = {MemOrder::kPlain};
+      if (kind != MoKind::kRmw) out = {MemOrder::kPlain};
       break;
     case MemOrder::kPlain:
       break;
@@ -387,17 +407,15 @@ class MoTable {
   return out;
 }
 
-/// Must weakening site `s` to `m` be caught, per the site's needs flags?
-[[nodiscard]] inline bool mo_must_catch(const MoSite& s,
+/// Must weakening site `s` from `base` to `m` be caught, per the site's
+/// needs flags?
+[[nodiscard]] inline bool mo_must_catch(const MoSite& s, check::MemOrder base,
                                         check::MemOrder m) noexcept {
   using check::MemOrder;
-  const bool lost_sc = s.annotated == MemOrder::kSeqCst && m != MemOrder::kSeqCst;
-  const bool lost_acq =
-      check::order_acquires(s.annotated) && !check::order_acquires(m);
-  const bool lost_rel =
-      check::order_releases(s.annotated) && !check::order_releases(m);
-  const bool lost_atomic =
-      s.annotated != MemOrder::kPlain && m == MemOrder::kPlain;
+  const bool lost_sc = base == MemOrder::kSeqCst && m != MemOrder::kSeqCst;
+  const bool lost_acq = check::order_acquires(base) && !check::order_acquires(m);
+  const bool lost_rel = check::order_releases(base) && !check::order_releases(m);
+  const bool lost_atomic = base != MemOrder::kPlain && m == MemOrder::kPlain;
   return (lost_sc && s.needs_sc) || (lost_acq && s.needs_acquire) ||
          (lost_rel && s.needs_release) || (lost_atomic && s.needs_atomic);
 }

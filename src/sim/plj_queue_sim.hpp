@@ -24,70 +24,62 @@ class SimPljQueue final : public SimQueue {
         tail_(engine.memory().alloc(1)),
         backoff_max_(backoff_max) {
     SimMemory& mem = engine.memory();
-    const auto free_top =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.free_top_addr()));
-    const std::uint32_t dummy = free_top.index();
-    mem.word(pool_.free_top_addr()) =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.next_addr(dummy))).bits();
-    mem.word(pool_.next_addr(dummy)) = tagged::TaggedIndex{}.bits();
+    const std::uint32_t dummy = pool_.take_dummy();
     mem.word(head_) = tagged::TaggedIndex(dummy, 0).bits();
     mem.word(tail_) = tagged::TaggedIndex(dummy, 0).bits();
   }
 
   [[nodiscard]] const char* name() const noexcept override { return "PLJ"; }
 
-  Task<bool> enqueue(Proc& p, std::uint64_t value) override {
-    const std::uint32_t node = co_await pool_.allocate(p);
-    if (node == tagged::kNullIndex) co_return false;
-    co_await p.write(pool_.value_addr(node), value);
-    co_await p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits());
+  bool enqueue(Proc& p, std::uint64_t value) override {
+    const std::uint32_t node = pool_.allocate(p);
+    if (node == tagged::kNullIndex) return false;
+    p.write(pool_.value_addr(node), value);
+    p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits());
 
     SimBackoff backoff(backoff_max_);
     for (;;) {
       tagged::TaggedIndex head, tail, tail_next;
-      co_await snapshot(p, head, tail, tail_next);
+      snapshot(p, head, tail, tail_next);
       if (!tail_next.is_null()) {
         // Complete the slower enqueuer's Tail swing (helping).
-        co_await p.cas(tail_, tail.bits(),
-                       tail.successor(tail_next.index()).bits());
+        p.cas(tail_, tail.bits(),
+              tail.successor(tail_next.index()).bits());
         continue;
       }
-      co_await p.at("PLJ_LINK");
-      const std::uint64_t linked = co_await p.cas(
-          pool_.next_addr(tail.index()), tail_next.bits(),
-          tail_next.successor(node).bits());
-      if (linked == tail_next.bits()) {
-        co_await p.cas(tail_, tail.bits(), tail.successor(node).bits());
-        co_return true;
+      p.at("PLJ_LINK");
+      if (p.cas(pool_.next_addr(tail.index()), tail_next.bits(),
+                tail_next.successor(node).bits()) == tail_next.bits()) {
+        p.cas(tail_, tail.bits(), tail.successor(node).bits());
+        return true;
       }
-      co_await p.work(backoff.next());
+      p.work(backoff.next());
     }
   }
 
-  Task<std::uint64_t> dequeue(Proc& p) override {
+  std::uint64_t dequeue(Proc& p) override {
     SimBackoff backoff(backoff_max_);
     for (;;) {
       tagged::TaggedIndex head, tail, tail_next;
-      co_await snapshot(p, head, tail, tail_next);
+      snapshot(p, head, tail, tail_next);
       const auto first = tagged::TaggedIndex::from_bits(
-          co_await p.read(pool_.next_addr(head.index())));
-      const std::uint64_t head_again = co_await p.read(head_);
+          p.read(pool_.next_addr(head.index())));
+      const std::uint64_t head_again = p.read(head_);
       if (head.bits() != head_again) continue;  // stale
       if (head.index() == tail.index()) {
-        if (first.is_null()) co_return kEmpty;
-        co_await p.cas(tail_, tail.bits(), tail.successor(first.index()).bits());
+        if (first.is_null()) return kEmpty;
+        p.cas(tail_, tail.bits(), tail.successor(first.index()).bits());
         continue;
       }
       if (first.is_null()) continue;
-      const std::uint64_t value = co_await p.read(pool_.value_addr(first.index()));
-      co_await p.at("PLJ_SWING");
-      const std::uint64_t swung = co_await p.cas(
-          head_, head.bits(), head.successor(first.index()).bits());
-      if (swung == head.bits()) {
-        co_await pool_.free(p, head.index());
-        co_return value;
+      const std::uint64_t value = p.read(pool_.value_addr(first.index()));
+      p.at("PLJ_SWING");
+      if (p.cas(head_, head.bits(), head.successor(first.index()).bits()) ==
+          head.bits()) {
+        pool_.free(p, head.index());
+        return value;
       }
-      co_await p.work(backoff.next());
+      p.work(backoff.next());
     }
   }
 
@@ -112,18 +104,18 @@ class SimPljQueue final : public SimQueue {
  private:
   /// The PLJ snapshot: read Head, Tail, Tail->next and re-validate BOTH
   /// shared pointers until consistent.
-  Task<void> snapshot(Proc& p, tagged::TaggedIndex& head,
-                      tagged::TaggedIndex& tail,
-                      tagged::TaggedIndex& tail_next) {
+  void snapshot(Proc& p, tagged::TaggedIndex& head,
+                tagged::TaggedIndex& tail,
+                tagged::TaggedIndex& tail_next) {
     for (;;) {
-      head = tagged::TaggedIndex::from_bits(co_await p.read(head_));
-      tail = tagged::TaggedIndex::from_bits(co_await p.read(tail_));
+      head = tagged::TaggedIndex::from_bits(p.read(head_));
+      tail = tagged::TaggedIndex::from_bits(p.read(tail_));
       tail_next = tagged::TaggedIndex::from_bits(
-          co_await p.read(pool_.next_addr(tail.index())));
-      const std::uint64_t head_again = co_await p.read(head_);
-      const std::uint64_t tail_again = co_await p.read(tail_);
+          p.read(pool_.next_addr(tail.index())));
+      const std::uint64_t head_again = p.read(head_);
+      const std::uint64_t tail_again = p.read(tail_);
       if (head.bits() == head_again && tail.bits() == tail_again) {
-        co_return;
+        return;
       }
     }
   }

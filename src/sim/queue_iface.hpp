@@ -5,22 +5,21 @@
 
 #include "obs/counters.hpp"
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 
 /// dequeue() result meaning "queue was empty".
 inline constexpr std::uint64_t kEmpty = ~0ull;
 
-/// Abstract simulated queue; each operation is a coroutine advancing one
-/// shared-memory access per engine step.
+/// Abstract simulated queue; each operation advances one shared-memory
+/// access per engine step.
 class SimQueue {
  public:
   virtual ~SimQueue() = default;
   /// False iff the simulated node pool is exhausted.
-  virtual Task<bool> enqueue(Proc& p, std::uint64_t value) = 0;
+  virtual bool enqueue(Proc& p, std::uint64_t value) = 0;
   /// kEmpty iff the queue was observed empty.
-  virtual Task<std::uint64_t> dequeue(Proc& p) = 0;
+  virtual std::uint64_t dequeue(Proc& p) = 0;
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// Walk the structure between steps and abort-with-message on a broken

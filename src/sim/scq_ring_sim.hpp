@@ -19,7 +19,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/mo_table.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 
@@ -28,7 +27,7 @@ class SimScqRing {
   static constexpr std::uint32_t kBottom = 0x7FFFFFFFu;
 
   /// Per-dequeue progress accounting for the threshold-bound proof: the
-  /// engine runs coroutines cooperatively on one OS thread, so plain
+  /// engine runs processes cooperatively on one OS thread, so plain
   /// (non-simulated) members are race-free.
   struct Stats {
     std::uint64_t last_deq_rounds = 0;  // FAA rounds of the latest dequeue
@@ -86,18 +85,18 @@ class SimScqRing {
   /// that overfill the ring (or race a lagging consumer) stay finite;
   /// 0 = unbounded, like the real code.  Returns false iff the budget ran
   /// out with the deposit still pending.
-  Task<bool> enqueue(Proc& p, std::uint32_t idx, std::uint32_t max_rounds = 0) {
+  bool enqueue(Proc& p, std::uint32_t idx, std::uint32_t max_rounds = 0) {
     for (std::uint32_t round = 0;; ++round) {
-      if (max_rounds != 0 && round == max_rounds) co_return false;
-      const std::uint64_t t = co_await p.faa(tail_, 1, mo_enq_faa_tail_);
+      if (max_rounds != 0 && round == max_rounds) return false;
+      const std::uint64_t t = p.faa(tail_, 1, mo_enq_faa_tail_);
       const Addr slot = entries_ + remap(t);
       const std::uint32_t cycle = ticket_cycle(t);
-      std::uint64_t e = co_await p.read(slot, mo_enq_entry_load_);
+      std::uint64_t e = p.read(slot, mo_enq_entry_load_);
       for (;;) {
         if (cycle_less(entry_cycle(e), cycle) && entry_idx(e) == kBottom &&
             (entry_safe(e) ||
-             co_await p.read(head_, mo_enq_head_load_) <= t)) {
-          const std::uint64_t seen = co_await p.cas(
+             p.read(head_, mo_enq_head_load_) <= t)) {
+          const std::uint64_t seen = p.cas(
               slot, e, make_entry(cycle, true, idx), mo_enq_cas_);
           if (seen != e) {
             e = seen;
@@ -105,14 +104,14 @@ class SimScqRing {
           }
           if (threshold_enabled_) {
             const auto th = static_cast<std::int64_t>(
-                co_await p.read(threshold_, mo_threshold_check_));
+                p.read(threshold_, mo_threshold_check_));
             if (th != threshold_init_) {
-              co_await p.write(threshold_,
-                               static_cast<std::uint64_t>(threshold_init_),
-                               mo_threshold_store_);
+              p.write(threshold_,
+                      static_cast<std::uint64_t>(threshold_init_),
+                      mo_threshold_store_);
             }
           }
-          co_return true;
+          return true;
         }
         break;  // not depositable this cycle: take a new ticket
       }
@@ -120,19 +119,19 @@ class SimScqRing {
   }
 
   /// Take an index, or kBottom if the ring is (observably) empty.
-  Task<std::uint32_t> dequeue(Proc& p) {
+  std::uint32_t dequeue(Proc& p) {
     if (threshold_enabled_) {
       const auto th = static_cast<std::int64_t>(
-          co_await p.read(threshold_, mo_threshold_check_));
-      if (th < 0) co_return kBottom;
+          p.read(threshold_, mo_threshold_check_));
+      if (th < 0) return kBottom;
     }
     std::uint64_t rounds = 0;
     for (;;) {
       ++rounds;
-      const std::uint64_t h = co_await p.faa(head_, 1, mo_deq_faa_head_);
+      const std::uint64_t h = p.faa(head_, 1, mo_deq_faa_head_);
       const Addr slot = entries_ + remap(h);
       const std::uint32_t cycle = ticket_cycle(h);
-      std::uint64_t e = co_await p.read(slot, mo_deq_entry_load_);
+      std::uint64_t e = p.read(slot, mo_deq_entry_load_);
       for (;;) {
         if (entry_cycle(e) == cycle) {
           // Real code: fetch_or(kIdxMask).  The engine has no fetch_or, so
@@ -142,12 +141,12 @@ class SimScqRing {
           // ours, so retrying with the seen value is the same fetch_or.
           for (;;) {
             const std::uint64_t seen =
-                co_await p.cas(slot, e, e | kIdxMask, mo_deq_consume_or_);
+                p.cas(slot, e, e | kIdxMask, mo_deq_consume_or_);
             if (seen == e) break;
             e = seen;
           }
           note_rounds(rounds);
-          co_return entry_idx(e);
+          return entry_idx(e);
         }
         if (cycle_less(entry_cycle(e), cycle)) {
           const std::uint64_t desired =
@@ -155,27 +154,27 @@ class SimScqRing {
                   ? make_entry(cycle, entry_safe(e), kBottom)
                   : (e | kUnsafeBit);
           const std::uint64_t seen =
-              co_await p.cas(slot, e, desired, mo_deq_mark_cas_);
+              p.cas(slot, e, desired, mo_deq_mark_cas_);
           if (seen != e) {
             e = seen;
             continue;  // entry changed: re-test (it may now match our cycle)
           }
         }
-        const std::uint64_t t = co_await p.read(tail_, mo_deq_tail_load_);
+        const std::uint64_t t = p.read(tail_, mo_deq_tail_load_);
         if (t <= h + 1) {
-          co_await catch_up(p, t, h + 1);
+          catch_up(p, t, h + 1);
           if (threshold_enabled_) {
-            (void)co_await p.faa(threshold_, ~0ull, mo_threshold_faa_);
+            (void)p.faa(threshold_, ~0ull, mo_threshold_faa_);
           }
           note_rounds(rounds);
-          co_return kBottom;
+          return kBottom;
         }
         if (threshold_enabled_) {
           const auto prior = static_cast<std::int64_t>(
-              co_await p.faa(threshold_, ~0ull, mo_threshold_faa_));
+              p.faa(threshold_, ~0ull, mo_threshold_faa_));
           if (prior <= 0) {
             note_rounds(rounds);
-            co_return kBottom;  // search budget exhausted
+            return kBottom;  // search budget exhausted
           }
         }
         break;  // keep scanning with a new ticket
@@ -244,13 +243,12 @@ class SimScqRing {
     return ((i << rot_) | (i >> (order_ - rot_))) & mask_;
   }
 
-  Task<void> catch_up(Proc& p, std::uint64_t t, std::uint64_t h) {
+  void catch_up(Proc& p, std::uint64_t t, std::uint64_t h) {
     for (;;) {
-      const std::uint64_t seen = co_await p.cas(tail_, t, h, mo_catchup_cas_);
-      if (seen == t) co_return;
-      h = co_await p.read(head_, mo_enq_head_load_ /*the head-word load site*/);
-      t = co_await p.read(tail_, mo_deq_tail_load_);
-      if (t >= h) co_return;
+      if (p.cas(tail_, t, h, mo_catchup_cas_) == t) return;
+      h = p.read(head_, mo_enq_head_load_ /*the head-word load site*/);
+      t = p.read(tail_, mo_deq_tail_load_);
+      if (t >= h) return;
     }
   }
 

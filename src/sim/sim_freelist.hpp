@@ -1,6 +1,8 @@
-// Simulated node pool + Treiber free list, the allocation substrate shared
-// by the simulated list-based queues (mirrors mem/node_pool.hpp +
-// mem/freelist.hpp).
+// Simulated node pool + Treiber free list, the allocation substrate of the
+// hand-written list-based models (MC, PLJ, two-lock, Valois).  It mirrors
+// mem/node_pool.hpp + mem/freelist.hpp, orders and link-tag discipline
+// included; the MS queue runs the shipped mem::FreeList itself
+// (sim/shipped.hpp).
 //
 // Node layout (in simulated words): [0]=value, [1]=next (TaggedIndex bits),
 // [2..]=algorithm extras (e.g. the Valois reference count).
@@ -9,8 +11,6 @@
 #include <cstdint>
 
 #include "sim/engine.hpp"
-#include "sim/mo_table.hpp"
-#include "sim/task.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::sim {
@@ -20,19 +20,13 @@ class SimNodePool {
   static constexpr std::uint32_t kValueWord = 0;
   static constexpr std::uint32_t kNextWord = 1;
 
-  // `mo` overrides the annotated memory orders (mutation sweeps); the
-  // defaults mirror mem/freelist.hpp -- rationale in sim/mo_table.hpp.
   SimNodePool(Engine& engine, std::uint32_t capacity,
-              std::uint32_t words_per_node, const MoTable* mo = nullptr)
-      : capacity_(capacity),
+              std::uint32_t words_per_node)
+      : memory_(engine.memory()),
+        capacity_(capacity),
         words_per_node_(words_per_node),
         base_(engine.memory().alloc(capacity * words_per_node)),
-        free_top_(engine.memory().alloc(1)),
-        mo_pop_top_(mo_resolve(mo, "fl.pop_top")),
-        mo_pop_next_(mo_resolve(mo, "fl.pop_next")),
-        mo_pop_cas_(mo_resolve(mo, "fl.pop_cas")),
-        mo_push_link_(mo_resolve(mo, "fl.push_link")),
-        mo_push_cas_(mo_resolve(mo, "fl.push_cas")) {
+        free_top_(engine.memory().alloc(1)) {
     // Thread every node onto the free list (construction is single-site;
     // raw memory writes, no simulated cost -- matches the paper's
     // pre-initialised free list).
@@ -55,47 +49,59 @@ class SimNodePool {
   [[nodiscard]] Addr extra_addr(std::uint32_t node, std::uint32_t slot) const noexcept {
     return base_ + node * words_per_node_ + 2 + slot;
   }
-  [[nodiscard]] Addr free_top_addr() const noexcept { return free_top_; }
+  /// initialize(Q)'s new_node(), before any process runs: pop a node raw
+  /// and give it a null link.
+  [[nodiscard]] std::uint32_t take_dummy() {
+    const auto top = tagged::TaggedIndex::from_bits(memory_.peek(free_top_));
+    memory_.word(free_top_) = memory_.peek(next_addr(top.index()));
+    memory_.word(next_addr(top.index())) = tagged::TaggedIndex{}.bits();
+    return top.index();
+  }
 
   /// Treiber pop (lock-free).  Returns tagged::kNullIndex when exhausted.
-  Task<std::uint32_t> allocate(Proc& p) {
+  std::uint32_t allocate(Proc& p) {
     for (;;) {
       const auto top = tagged::TaggedIndex::from_bits(
-          co_await p.read(free_top_, mo_pop_top_));
-      if (top.is_null()) co_return tagged::kNullIndex;
+          p.read(free_top_, MemOrder::kAcquire));
+      if (top.is_null()) return tagged::kNullIndex;
       const auto next = tagged::TaggedIndex::from_bits(
-          co_await p.read(next_addr(top.index()), mo_pop_next_));
-      const std::uint64_t old =
-          co_await p.cas(free_top_, top.bits(),
-                         top.successor(next.index()).bits(), mo_pop_cas_);
-      if (old == top.bits()) co_return top.index();
+          p.read(next_addr(top.index()), MemOrder::kAcquire));
+      if (p.cas(free_top_, top.bits(), top.successor(next.index()).bits(),
+                MemOrder::kAcqRel) == top.bits()) {
+        return top.index();
+      }
     }
   }
 
-  /// Treiber push.
-  Task<void> free(Proc& p, std::uint32_t node) {
+  /// Treiber push.  Like FreeList::push, it bumps the node's own link
+  /// count, so the count stays monotone across recycles and a stale link
+  /// CAS against an earlier life of the node cannot succeed.  The count is
+  /// read without a step: the node is private to the caller here (nobody
+  /// else writes its link until the push CAS publishes it), so the read
+  /// commutes with every other step, and these models keep the step and
+  /// cost profile their figures were calibrated with.
+  void free(Proc& p, std::uint32_t node) {
+    const std::uint32_t count =
+        tagged::TaggedIndex::from_bits(p.engine().memory().peek(next_addr(node)))
+            .count() + 1;
     for (;;) {
       const auto top = tagged::TaggedIndex::from_bits(
-          co_await p.read(free_top_, mo_pop_top_));
-      co_await p.write(next_addr(node),
-                       tagged::TaggedIndex(top.index(), 0).bits(),
-                       mo_push_link_);
-      const std::uint64_t old = co_await p.cas(
-          free_top_, top.bits(), top.successor(node).bits(), mo_push_cas_);
-      if (old == top.bits()) co_return;
+          p.read(free_top_, MemOrder::kAcquire));
+      p.write(next_addr(node), tagged::TaggedIndex(top.index(), count).bits(),
+              MemOrder::kRelease);
+      if (p.cas(free_top_, top.bits(), top.successor(node).bits(),
+                MemOrder::kAcqRel) == top.bits()) {
+        return;
+      }
     }
   }
 
  private:
+  SimMemory& memory_;
   std::uint32_t capacity_;
   std::uint32_t words_per_node_;
   Addr base_;
   Addr free_top_;
-  check::MemOrder mo_pop_top_;
-  check::MemOrder mo_pop_next_;
-  check::MemOrder mo_pop_cas_;
-  check::MemOrder mo_push_link_;
-  check::MemOrder mo_push_cas_;
 };
 
 }  // namespace msq::sim

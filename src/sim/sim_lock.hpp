@@ -1,12 +1,11 @@
 // Simulated test-and-test_and_set lock with bounded exponential backoff --
-// the lock of the paper's evaluation, as a coroutine over one sim word.
+// the lock of the paper's evaluation, over one sim word.
 #pragma once
 
 #include "obs/counters.hpp"
 #include "sim/engine.hpp"
 #include "sim/mo_table.hpp"
 #include "sim/queue_iface.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 
@@ -22,27 +21,25 @@ class SimTatasLock {
         mo_cas_(mo_resolve(mo, "lock.acquire_cas")),
         mo_unlock_(mo_resolve(mo, "lock.unlock_store")) {}
 
-  Task<void> lock(Proc& p) {
+  void lock(Proc& p) {
     SimBackoff backoff(backoff_max_);
     for (;;) {
       // Local spin on the cached copy until the lock looks free.
       for (;;) {
-        const std::uint64_t seen = co_await p.read(word_, mo_spin_);
-        if (seen == 0) break;
+        if (p.read(word_, mo_spin_) == 0) break;
         MSQ_COUNT(kLockSpin);
-        co_await p.work(backoff.next());
+        p.work(backoff.next());
       }
-      const std::uint64_t old = co_await p.cas(word_, 0, 1, mo_cas_);
-      if (old == 0) {
+      if (p.cas(word_, 0, 1, mo_cas_) == 0) {
         MSQ_COUNT(kLockAcquire);
-        co_return;
+        return;
       }
       MSQ_COUNT(kLockSpin);
-      co_await p.work(backoff.next());  // lost the race to another RMW
+      p.work(backoff.next());  // lost the race to another RMW
     }
   }
 
-  Task<void> unlock(Proc& p) { co_await p.write(word_, 0, mo_unlock_); }
+  void unlock(Proc& p) { p.write(word_, 0, mo_unlock_); }
 
   [[nodiscard]] Addr addr() const noexcept { return word_; }
 

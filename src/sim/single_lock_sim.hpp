@@ -38,41 +38,41 @@ class SimSingleLockQueue final : public SimQueue {
 
   [[nodiscard]] const char* name() const noexcept override { return "single lock"; }
 
-  Task<bool> enqueue(Proc& p, std::uint64_t value) override {
-    co_await lock_.lock(p);
-    co_await p.at("LOCK_HELD");
+  bool enqueue(Proc& p, std::uint64_t value) override {
+    lock_.lock(p);
+    p.at("LOCK_HELD");
     // allocate from the plain free list
-    const std::uint64_t node = co_await p.read(free_top_);
+    const std::uint64_t node = p.read(free_top_);
     if (node == tagged::kNullIndex) {
-      co_await lock_.unlock(p);
-      co_return false;
+      lock_.unlock(p);
+      return false;
     }
-    co_await p.write(free_top_, co_await p.read(next_addr(node)));
-    co_await p.write(value_addr(node), value);
-    co_await p.write(next_addr(node), tagged::kNullIndex);
-    const std::uint64_t tail = co_await p.read(tail_);
-    co_await p.write(next_addr(tail), node);
-    co_await p.write(tail_, node);
-    co_await lock_.unlock(p);
-    co_return true;
+    p.write(free_top_, p.read(next_addr(node)));
+    p.write(value_addr(node), value);
+    p.write(next_addr(node), tagged::kNullIndex);
+    const std::uint64_t tail = p.read(tail_);
+    p.write(next_addr(tail), node);
+    p.write(tail_, node);
+    lock_.unlock(p);
+    return true;
   }
 
-  Task<std::uint64_t> dequeue(Proc& p) override {
-    co_await lock_.lock(p);
-    co_await p.at("LOCK_HELD");
-    const std::uint64_t dummy = co_await p.read(head_);
-    const std::uint64_t first = co_await p.read(next_addr(dummy));
+  std::uint64_t dequeue(Proc& p) override {
+    lock_.lock(p);
+    p.at("LOCK_HELD");
+    const std::uint64_t dummy = p.read(head_);
+    const std::uint64_t first = p.read(next_addr(dummy));
     if (first == tagged::kNullIndex) {
-      co_await lock_.unlock(p);
-      co_return kEmpty;
+      lock_.unlock(p);
+      return kEmpty;
     }
-    const std::uint64_t value = co_await p.read(value_addr(first));
-    co_await p.write(head_, first);
+    const std::uint64_t value = p.read(value_addr(first));
+    p.write(head_, first);
     // free the dummy onto the plain free list (still under the lock)
-    co_await p.write(next_addr(dummy), co_await p.read(free_top_));
-    co_await p.write(free_top_, dummy);
-    co_await lock_.unlock(p);
-    co_return value;
+    p.write(next_addr(dummy), p.read(free_top_));
+    p.write(free_top_, dummy);
+    lock_.unlock(p);
+    return value;
   }
 
   void check_invariants() const override {

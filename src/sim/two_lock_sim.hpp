@@ -22,51 +22,46 @@ class SimTwoLockQueue final : public SimQueue {
         head_lock_(engine, backoff_max),
         tail_lock_(engine, backoff_max) {
     SimMemory& mem = engine.memory();
-    const auto free_top =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.free_top_addr()));
-    const std::uint32_t dummy = free_top.index();
-    mem.word(pool_.free_top_addr()) =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.next_addr(dummy))).bits();
-    mem.word(pool_.next_addr(dummy)) = tagged::TaggedIndex{}.bits();
+    const std::uint32_t dummy = pool_.take_dummy();
     mem.word(head_) = dummy;
     mem.word(tail_) = dummy;
   }
 
   [[nodiscard]] const char* name() const noexcept override { return "two-lock"; }
 
-  Task<bool> enqueue(Proc& p, std::uint64_t value) override {
-    const std::uint32_t node = co_await pool_.allocate(p);
-    if (node == tagged::kNullIndex) co_return false;
-    co_await p.write(pool_.value_addr(node), value);
-    co_await p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits());
+  bool enqueue(Proc& p, std::uint64_t value) override {
+    const std::uint32_t node = pool_.allocate(p);
+    if (node == tagged::kNullIndex) return false;
+    p.write(pool_.value_addr(node), value);
+    p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits());
 
-    co_await tail_lock_.lock(p);  // lock(&Q->T_lock)
-    co_await p.at("T_HELD");
-    const std::uint64_t tail = co_await p.read(tail_);
-    co_await p.write(pool_.next_addr(static_cast<std::uint32_t>(tail)),
-                     tagged::TaggedIndex(node, 0).bits());  // Q->Tail->next = node
-    co_await p.write(tail_, node);                          // Q->Tail = node
-    co_await tail_lock_.unlock(p);                          // unlock
-    co_return true;
+    tail_lock_.lock(p);  // lock(&Q->T_lock)
+    p.at("T_HELD");
+    const std::uint64_t tail = p.read(tail_);
+    p.write(pool_.next_addr(static_cast<std::uint32_t>(tail)),
+            tagged::TaggedIndex(node, 0).bits());  // Q->Tail->next = node
+    p.write(tail_, node);                          // Q->Tail = node
+    tail_lock_.unlock(p);                          // unlock
+    return true;
   }
 
-  Task<std::uint64_t> dequeue(Proc& p) override {
-    co_await head_lock_.lock(p);  // lock(&Q->H_lock)
-    co_await p.at("H_HELD");
+  std::uint64_t dequeue(Proc& p) override {
+    head_lock_.lock(p);  // lock(&Q->H_lock)
+    p.at("H_HELD");
     const auto dummy =
-        static_cast<std::uint32_t>(co_await p.read(head_));  // node = Q->Head
+        static_cast<std::uint32_t>(p.read(head_));  // node = Q->Head
     const auto new_head = tagged::TaggedIndex::from_bits(
-        co_await p.read(pool_.next_addr(dummy)));  // new_head = node->next
+        p.read(pool_.next_addr(dummy)));  // new_head = node->next
     if (new_head.is_null()) {                      // queue empty?
-      co_await head_lock_.unlock(p);
-      co_return kEmpty;
+      head_lock_.unlock(p);
+      return kEmpty;
     }
     const std::uint64_t value =
-        co_await p.read(pool_.value_addr(new_head.index()));  // *pvalue = ...
-    co_await p.write(head_, new_head.index());  // Q->Head = new_head
-    co_await head_lock_.unlock(p);
-    co_await pool_.free(p, dummy);  // free(node)
-    co_return value;
+        p.read(pool_.value_addr(new_head.index()));  // *pvalue = ...
+    p.write(head_, new_head.index());  // Q->Head = new_head
+    head_lock_.unlock(p);
+    pool_.free(p, dummy);  // free(node)
+    return value;
   }
 
   void check_invariants() const override {

@@ -27,7 +27,7 @@ class SimValoisQueue final : public SimQueue {
   SimValoisQueue(Engine& engine, std::uint32_t capacity,
                  double backoff_max = 1024, const MoTable* mo = nullptr)
       : engine_(engine),
-        pool_(engine, capacity + 1, /*words_per_node=*/3, mo),
+        pool_(engine, capacity + 1, /*words_per_node=*/3),
         head_(engine.memory().alloc(1)),
         tail_(engine.memory().alloc(1)),
         backoff_max_(backoff_max) {
@@ -46,12 +46,7 @@ class SimValoisQueue final : public SimQueue {
       mem.word(refct_addr(i)) = 1;
     }
     // Pop the dummy raw; count 2 = Head link + Tail link, claim clear.
-    const auto free_top =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.free_top_addr()));
-    const std::uint32_t dummy = free_top.index();
-    mem.word(pool_.free_top_addr()) =
-        tagged::TaggedIndex::from_bits(mem.peek(pool_.next_addr(dummy))).bits();
-    mem.word(pool_.next_addr(dummy)) = tagged::TaggedIndex{}.bits();
+    const std::uint32_t dummy = pool_.take_dummy();
     mem.word(refct_addr(dummy)) = 4;  // two references
     mem.word(head_) = tagged::TaggedIndex(dummy, 0).bits();
     mem.word(tail_) = tagged::TaggedIndex(dummy, 0).bits();
@@ -59,60 +54,59 @@ class SimValoisQueue final : public SimQueue {
 
   [[nodiscard]] const char* name() const noexcept override { return "Valois"; }
 
-  Task<bool> enqueue(Proc& p, std::uint64_t value) override {
-    const std::uint32_t node = co_await allocate(p);
-    if (node == tagged::kNullIndex) co_return false;
-    co_await p.write(pool_.value_addr(node), value, mo_.init_value);
-    co_await p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits(),
-                     mo_.init_next);
+  bool enqueue(Proc& p, std::uint64_t value) override {
+    const std::uint32_t node = allocate(p);
+    if (node == tagged::kNullIndex) return false;
+    p.write(pool_.value_addr(node), value, mo_.init_value);
+    p.write(pool_.next_addr(node), tagged::TaggedIndex{}.bits(),
+            mo_.init_next);
 
     SimBackoff backoff(backoff_max_);
     for (;;) {
-      const auto tail = co_await safe_read(p, tail_);
+      const auto tail = safe_read(p, tail_);
       const auto next = tagged::TaggedIndex::from_bits(
-          co_await p.read(pool_.next_addr(tail.index()), mo_.ptr_read));
+          p.read(pool_.next_addr(tail.index()), mo_.ptr_read));
       if (next.is_null()) {
-        co_await p.at("V_LINK");
+        p.at("V_LINK");
         const bool linked =
-            co_await rc_cas(p, pool_.next_addr(tail.index()), next, node);
+            rc_cas(p, pool_.next_addr(tail.index()), next, node);
         if (linked) {
           // Single attempt to swing Tail; failure lets Tail lag (safely,
           // thanks to the reference counts).
-          co_await rc_cas(p, tail_, tail, node);
-          co_await release(p, tail.index());
+          rc_cas(p, tail_, tail, node);
+          release(p, tail.index());
           break;
         }
-        co_await p.work(backoff.next());
+        p.work(backoff.next());
       } else {
-        co_await rc_cas(p, tail_, tail, next.index());  // help Tail forward
+        rc_cas(p, tail_, tail, next.index());  // help Tail forward
       }
-      co_await release(p, tail.index());
+      release(p, tail.index());
     }
-    co_await release(p, node);  // drop the allocation reference
-    co_return true;
+    release(p, node);  // drop the allocation reference
+    return true;
   }
 
-  Task<std::uint64_t> dequeue(Proc& p) override {
+  std::uint64_t dequeue(Proc& p) override {
     SimBackoff backoff(backoff_max_);
     for (;;) {
-      const auto head = co_await safe_read(p, head_);
-      const auto first = co_await safe_read_cell(p, pool_.next_addr(head.index()));
+      const auto head = safe_read(p, head_);
+      const auto first = safe_read_cell(p, pool_.next_addr(head.index()));
       if (first.is_null()) {
-        co_await release(p, head.index());
-        co_return kEmpty;
+        release(p, head.index());
+        return kEmpty;
       }
-      co_await p.at("V_SWING");
-      const bool swung = co_await rc_cas(p, head_, head, first.index());
-      if (swung) {
+      p.at("V_SWING");
+      if (rc_cas(p, head_, head, first.index())) {
         const std::uint64_t value =
-            co_await p.read(pool_.value_addr(first.index()), mo_.value_read);
-        co_await release(p, head.index());
-        co_await release(p, first.index());
-        co_return value;
+            p.read(pool_.value_addr(first.index()), mo_.value_read);
+        release(p, head.index());
+        release(p, first.index());
+        return value;
       }
-      co_await release(p, head.index());
-      co_await release(p, first.index());
-      co_await p.work(backoff.next());
+      release(p, head.index());
+      release(p, first.index());
+      p.work(backoff.next());
     }
   }
 
@@ -142,74 +136,69 @@ class SimValoisQueue final : public SimQueue {
   }
 
   /// Allocate with the TR 599 claim-clearing add (+2 ref, -1 claim).
-  Task<std::uint32_t> allocate(Proc& p) {
-    const std::uint32_t node = co_await pool_.allocate(p);
+  std::uint32_t allocate(Proc& p) {
+    const std::uint32_t node = pool_.allocate(p);
     if (node != tagged::kNullIndex) {
-      co_await p.faa(refct_addr(node), 1, mo_.refct_faa);
+      p.faa(refct_addr(node), 1, mo_.refct_faa);
     }
-    co_return node;
+    return node;
   }
 
-  Task<tagged::TaggedIndex> safe_read(Proc& p, Addr shared_ptr_cell) {
-    co_return co_await safe_read_cell(p, shared_ptr_cell);
+  tagged::TaggedIndex safe_read(Proc& p, Addr shared_ptr_cell) {
+    return safe_read_cell(p, shared_ptr_cell);
   }
 
   /// Valois SafeRead: increment-then-revalidate.
-  Task<tagged::TaggedIndex> safe_read_cell(Proc& p, Addr cell) {
+  tagged::TaggedIndex safe_read_cell(Proc& p, Addr cell) {
     for (;;) {
       const auto seen = tagged::TaggedIndex::from_bits(
-          co_await p.read(cell, mo_.ptr_read));
-      if (seen.is_null()) co_return seen;
-      co_await p.faa(refct_addr(seen.index()), 2, mo_.refct_faa);
-      const std::uint64_t again = co_await p.read(cell, mo_.ptr_reread);
-      if (again == seen.bits()) co_return seen;
-      co_await release(p, seen.index());
+          p.read(cell, mo_.ptr_read));
+      if (seen.is_null()) return seen;
+      p.faa(refct_addr(seen.index()), 2, mo_.refct_faa);
+      if (p.read(cell, mo_.ptr_reread) == seen.bits()) return seen;
+      release(p, seen.index());
     }
   }
 
   /// DecrementAndTestAndSet + recursive reclamation.
-  Task<void> release(Proc& p, std::uint32_t node) {
-    if (node == tagged::kNullIndex) co_return;
+  void release(Proc& p, std::uint32_t node) {
+    if (node == tagged::kNullIndex) return;
     std::uint32_t current = node;
     for (;;) {  // iterative tail-recursion over the reclamation chain
       bool reclaim = false;
       for (;;) {
         // relaxed: optimistic first read; the CAS below validates and orders
         const std::uint64_t old =
-            co_await p.read(refct_addr(current), check::MemOrder::kRelaxed);
+            p.read(refct_addr(current), check::MemOrder::kRelaxed);
         const std::uint64_t desired = (old == 2) ? 1 : old - 2;
-        const std::uint64_t swapped = co_await p.cas(
-            refct_addr(current), old, desired, mo_.refct_cas);
-        if (swapped == old) {
+        if (p.cas(refct_addr(current), old, desired, mo_.refct_cas) == old) {
           reclaim = (old == 2);
           break;
         }
       }
-      if (!reclaim) co_return;
+      if (!reclaim) return;
       // Sole owner of a dead node: grab its outgoing link, recycle it,
       // then release the link target (the pinning cascade).
       const auto next = tagged::TaggedIndex::from_bits(
-          co_await p.read(pool_.next_addr(current), mo_.reclaim_next));
-      co_await pool_.free(p, current);
-      if (next.is_null()) co_return;
+          p.read(pool_.next_addr(current), mo_.reclaim_next));
+      pool_.free(p, current);
+      if (next.is_null()) return;
       current = next.index();
     }
   }
 
   /// CAS of a shared link with CopyRef/Release bookkeeping.
-  Task<bool> rc_cas(Proc& p, Addr cell, tagged::TaggedIndex expected,
-                    std::uint32_t new_index) {
-    co_await p.faa(refct_addr(new_index), 2,
-                   mo_.refct_faa);  // reference for the new link
-    const std::uint64_t old = co_await p.cas(
-        cell, expected.bits(), expected.successor(new_index).bits(),
-        mo_.link_cas);
-    if (old == expected.bits()) {
-      if (!expected.is_null()) co_await release(p, expected.index());
-      co_return true;
+  bool rc_cas(Proc& p, Addr cell, tagged::TaggedIndex expected,
+              std::uint32_t new_index) {
+    p.faa(refct_addr(new_index), 2,
+          mo_.refct_faa);  // reference for the new link
+    if (p.cas(cell, expected.bits(), expected.successor(new_index).bits(),
+              mo_.link_cas) == expected.bits()) {
+      if (!expected.is_null()) release(p, expected.index());
+      return true;
     }
-    co_await release(p, new_index);
-    co_return false;
+    release(p, new_index);
+    return false;
   }
 
   struct Orders {

@@ -4,7 +4,7 @@
 
 #include "check/invariants.hpp"
 #include "sim/mc_queue_sim.hpp"
-#include "sim/ms_queue_sim.hpp"
+#include "sim/shipped.hpp"
 #include "sim/plj_queue_sim.hpp"
 #include "sim/single_lock_sim.hpp"
 #include "sim/two_lock_sim.hpp"
@@ -45,7 +45,7 @@ std::unique_ptr<SimQueue> make_sim_queue(Algo algo, Engine& engine,
     case Algo::kPlj:
       return std::make_unique<SimPljQueue>(engine, capacity, backoff_max);
     case Algo::kMs:
-      return std::make_unique<SimMsQueue>(engine, capacity, backoff_max, mo);
+      return std::make_unique<ShippedMsQueue>(engine, capacity, backoff_max, mo);
   }
   return nullptr;
 }
@@ -59,21 +59,20 @@ struct Counters {
 
 /// One virtual process's share of the paper's loop: "enqueue an item, do
 /// other work, dequeue an item, do other work, repeat".
-Task<void> paper_loop(Proc& p, SimQueue& queue, std::uint64_t pairs,
-                      double other_work, std::uint32_t producer_id,
-                      Counters& counters) {
+void paper_loop(Proc& p, SimQueue& queue, std::uint64_t pairs,
+                double other_work, std::uint32_t producer_id,
+                Counters& counters) {
   for (std::uint64_t i = 0; i < pairs; ++i) {
     const std::uint64_t value = check::encode_value(producer_id, i);
     for (;;) {
-      const bool ok = co_await queue.enqueue(p, value);
-      if (ok) break;
+      if (queue.enqueue(p, value)) break;
       ++counters.enqueue_failures;  // pool exhausted: yield a little
-      co_await p.work(64);
+      p.work(64);
     }
-    co_await p.work(other_work);
-    const std::uint64_t got = co_await queue.dequeue(p);
+    p.work(other_work);
+    const std::uint64_t got = queue.dequeue(p);
     if (got == kEmpty) ++counters.empty_dequeues;
-    co_await p.work(other_work);
+    p.work(other_work);
   }
 }
 

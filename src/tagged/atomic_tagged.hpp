@@ -30,6 +30,10 @@ namespace msq::tagged {
   }
 }
 
+// Every access takes an optional `site`: the name of that line in the
+// memory-order table (sim/mo_table.hpp).  This word ignores it; the
+// simulator's word (sim/shipped.hpp) uses it to label, freeze at and
+// mutate the access.
 class AtomicTagged {
  public:
   AtomicTagged() noexcept = default;
@@ -37,11 +41,13 @@ class AtomicTagged {
   AtomicTagged(const AtomicTagged&) = delete;
   AtomicTagged& operator=(const AtomicTagged&) = delete;
 
-  [[nodiscard]] TaggedIndex load(std::memory_order order) const noexcept {
+  [[nodiscard]] TaggedIndex load(std::memory_order order,
+                                 const char* /*site*/ = nullptr) const noexcept {
     return TaggedIndex::from_bits(bits_.load(order));
   }
 
-  void store(TaggedIndex value, std::memory_order order) noexcept {
+  void store(TaggedIndex value, std::memory_order order,
+             const char* /*site*/ = nullptr) noexcept {
     bits_.store(value.bits(), order);
   }
 
@@ -57,7 +63,8 @@ class AtomicTagged {
   /// acquire-class successes, so a failed linearizing CAS still observes
   /// the winner's published state before retrying).
   bool compare_and_swap(TaggedIndex expected, TaggedIndex desired,
-                        std::memory_order order) noexcept {
+                        std::memory_order order,
+                        const char* /*site*/ = nullptr) noexcept {
     std::uint64_t exp = expected.bits();
     return bits_.compare_exchange_strong(exp, desired.bits(), order,
                                          cas_failure_order(order));

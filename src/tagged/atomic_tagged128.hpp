@@ -66,17 +66,20 @@ class alignas(16) AtomicTagged128 {
   // site requires; the __sync builtins always emit a full-barrier
   // cmpxchg16b, which satisfies any requested order.  Requiring the
   // parameter keeps these sites under the same explicit-order discipline
-  // as the single-word cells (tools/atomics_lint.py).
+  // as the single-word cells (tools/atomics_lint.py).  `site` is ignored,
+  // as in AtomicTagged.
 
   /// Atomic 128-bit load.  Implemented as CAS(x, x): on x86-64 there is no
   /// plain 16-byte atomic load pre-AVX guarantees, and the algorithms only
   /// ever need a consistent snapshot, which this provides.
-  [[nodiscard]] TaggedIndex128 load(std::memory_order order) const noexcept {
+  [[nodiscard]] TaggedIndex128 load(std::memory_order order,
+                                    const char* /*site*/ = nullptr) const noexcept {
     static_cast<void>(order);  // full barrier regardless (see above)
     return TaggedIndex128::from_bits(__sync_val_compare_and_swap(&bits_, 0, 0));
   }
 
-  void store(TaggedIndex128 value, std::memory_order order) noexcept {
+  void store(TaggedIndex128 value, std::memory_order order,
+             const char* /*site*/ = nullptr) noexcept {
     static_cast<void>(order);  // full barrier regardless (see above)
     // First guess 0: a wrong guess costs one failed CAS, and the cell is
     // never read non-atomically.
@@ -91,7 +94,8 @@ class alignas(16) AtomicTagged128 {
   }
 
   bool compare_and_swap(TaggedIndex128 expected, TaggedIndex128 desired,
-                        std::memory_order order) noexcept {
+                        std::memory_order order,
+                        const char* /*site*/ = nullptr) noexcept {
     static_cast<void>(order);  // full barrier regardless (see above)
     return __sync_bool_compare_and_swap(&bits_, expected.bits(), desired.bits());
   }

@@ -49,10 +49,10 @@ using namespace std::chrono_literals;
 // 1. The fault primitives themselves
 // ---------------------------------------------------------------------------
 
-sim::Task<void> count_reads(sim::Proc& p, sim::Addr addr, std::uint64_t n,
-                            std::uint64_t& done) {
+void count_reads(sim::Proc& p, sim::Addr addr, std::uint64_t n,
+                 std::uint64_t& done) {
   for (std::uint64_t i = 0; i < n; ++i) {
-    co_await p.read(addr);
+    p.read(addr);
     ++done;
   }
 }
@@ -224,19 +224,19 @@ struct OpCounts {
   std::uint64_t empty = 0;
 };
 
-sim::Task<void> endless_enqueues(sim::Proc& p, sim::SimQueue& queue,
-                                 std::uint32_t producer, OpCounts& counts) {
+void endless_enqueues(sim::Proc& p, sim::SimQueue& queue,
+                      std::uint32_t producer, OpCounts& counts) {
   for (std::uint64_t i = 0;; ++i) {
     const bool ok =
-        co_await queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
+        queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
     if (ok) ++counts.enqueues;
   }
 }
 
-sim::Task<void> endless_dequeues(sim::Proc& p, sim::SimQueue& queue,
-                                 OpCounts& counts) {
+void endless_dequeues(sim::Proc& p, sim::SimQueue& queue,
+                      OpCounts& counts) {
   for (;;) {
-    const std::uint64_t got = co_await queue.dequeue(p);
+    const std::uint64_t got = queue.dequeue(p);
     if (got != sim::kEmpty) {
       ++counts.dequeues;
     } else {
@@ -245,10 +245,10 @@ sim::Task<void> endless_dequeues(sim::Proc& p, sim::SimQueue& queue,
   }
 }
 
-sim::Task<void> n_enqueues(sim::Proc& p, sim::SimQueue& queue, std::uint64_t n,
-                           OpCounts& counts) {
+void n_enqueues(sim::Proc& p, sim::SimQueue& queue, std::uint64_t n,
+                OpCounts& counts) {
   for (std::uint64_t i = 0; i < n; ++i) {
-    const bool ok = co_await queue.enqueue(p, 0x7000 + i);
+    const bool ok = queue.enqueue(p, 0x7000 + i);
     if (ok) ++counts.enqueues;
   }
 }
@@ -334,22 +334,22 @@ TEST(LockBasedCrashDirected, McVictimDeadMidLinkWedgesDequeuersWithoutEmpty) {
 
 // --- Treiber stack: crash-swept directly against the engine ---------------
 
-sim::Task<void> stack_preload(sim::Proc& p,
-                              sim::testing::TinyStack<true>& stack) {
-  co_await stack.push(p, 1);
-  co_await stack.push(p, 2);
-  co_await stack.push(p, 3);
+void stack_preload(sim::Proc& p,
+                   sim::testing::TinyStack<true>& stack) {
+  stack.push(p, 1);
+  stack.push(p, 2);
+  stack.push(p, 3);
 }
 
 /// Pop a node, push it back, forever: each survivor only ever republishes
 /// nodes it owns (just popped), so no node is ever in the stack twice.
-sim::Task<void> stack_churn(sim::Proc& p, sim::testing::TinyStack<true>& stack,
-                            std::uint64_t& ops) {
+void stack_churn(sim::Proc& p, sim::testing::TinyStack<true>& stack,
+                 std::uint64_t& ops) {
   for (;;) {
-    const std::uint64_t got = co_await stack.pop(p);
+    const std::uint64_t got = stack.pop(p);
     if (got == sim::testing::kNullNode) continue;
     ++ops;
-    co_await stack.push(p, got);
+    stack.push(p, got);
     ++ops;
   }
 }
@@ -367,7 +367,7 @@ TEST(TreiberCrashSweep, SurvivorsCompleteAtEveryCrashStepOfAPush) {
   }
 
   for (std::uint64_t k = 0; k < push_steps; ++k) {
-    std::uint64_t survivor_ops = 0;  // before the engine: outlives coroutines
+    std::uint64_t survivor_ops = 0;  // before the engine: outlives processes
     sim::Engine engine;
     sim::testing::TinyStack<true> stack(engine, 8);
     // Preload nodes 1..3 so survivors always have something to pop.

@@ -3,9 +3,9 @@
 // each consumer, mixed producer/consumer churn through the empty state, and
 // pool exhaustion under contention.
 //
-// On this host every run is heavily preempted (one core), which is exactly
-// the multiprogrammed regime of the paper's Figures 4-5 -- a good stressor
-// for the blocking windows of the lock-based and MC algorithms.
+// Runs with more threads than cores are preempted mid-operation, which is
+// exactly the multiprogrammed regime of the paper's Figures 4-5 -- a good
+// stressor for the blocking windows of the lock-based and MC algorithms.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -57,7 +57,7 @@ TYPED_TEST_SUITE(QueueLinearizabilityTest, QueueTypes);
 
 TYPED_TEST(QueueLinearizabilityTest, SmallHistoriesAreExactlyLinearizable) {
   // 3 threads x 4 ops = <= 24 events per round; 50 rounds of genuinely
-  // preempted interleavings on this 1-core host.
+  // concurrent (or, with fewer cores than threads, preempted) interleavings.
   constexpr int kRounds = 50;
   constexpr std::uint32_t kThreads = 3;
   for (int round = 0; round < kRounds; ++round) {

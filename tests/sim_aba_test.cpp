@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::sim {
@@ -43,24 +42,24 @@ class TinyStack {
     return nodes_ + static_cast<Addr>(node);
   }
 
-  Task<void> push(Proc& p, std::uint64_t node) {
+  void push(Proc& p, std::uint64_t node) {
     for (;;) {
-      const std::uint64_t top = co_await p.read(top_);
-      co_await p.write(next_addr(node), encode(index_of(top), 0));
-      const std::uint64_t old = co_await p.cas(top_, top, bump(top, node));
-      if (old == top) co_return;
+      const std::uint64_t top = p.read(top_);
+      p.write(next_addr(node), encode(index_of(top), 0));
+      const std::uint64_t old = p.cas(top_, top, bump(top, node));
+      if (old == top) return;
     }
   }
 
-  Task<std::uint64_t> pop(Proc& p) {
+  std::uint64_t pop(Proc& p) {
     for (;;) {
-      const std::uint64_t top = co_await p.read(top_);
-      if (index_of(top) == kNull) co_return kNull;
-      const std::uint64_t next = co_await p.read(next_addr(index_of(top)));
-      co_await p.at("POP_CAS");
-      const std::uint64_t old = co_await p.cas(top_, top, bump(top, index_of(next)));
+      const std::uint64_t top = p.read(top_);
+      if (index_of(top) == kNull) return kNull;
+      const std::uint64_t next = p.read(next_addr(index_of(top)));
+      p.at("POP_CAS");
+      const std::uint64_t old = p.cas(top_, top, bump(top, index_of(next)));
       if (old == top) {
-        co_return index_of(top);
+        return index_of(top);
       }
     }
   }
@@ -112,22 +111,22 @@ class TinyStack {
 };
 
 template <bool Counted>
-Task<void> setup_stack(Proc& p, TinyStack<Counted>& stack) {
-  co_await stack.push(p, 1);  // B below
-  co_await stack.push(p, 0);  // A on top:  Top -> A(0) -> B(1)
+void setup_stack(Proc& p, TinyStack<Counted>& stack) {
+  stack.push(p, 1);  // B below
+  stack.push(p, 0);  // A on top:  Top -> A(0) -> B(1)
 }
 
 template <bool Counted>
-Task<void> victim_pop(Proc& p, TinyStack<Counted>& stack, std::uint64_t& out) {
-  out = co_await stack.pop(p);
+void victim_pop(Proc& p, TinyStack<Counted>& stack, std::uint64_t& out) {
+  out = stack.pop(p);
 }
 
 template <bool Counted>
-Task<void> aba_mutator(Proc& p, TinyStack<Counted>& stack, bool& ok) {
-  const std::uint64_t a = co_await stack.pop(p);
-  const std::uint64_t b = co_await stack.pop(p);
+void aba_mutator(Proc& p, TinyStack<Counted>& stack, bool& ok) {
+  const std::uint64_t a = stack.pop(p);
+  const std::uint64_t b = stack.pop(p);
   ok = (a == 0 && b == 1);
-  co_await stack.push(p, a);  // push A back: the second "A" of A-B-A
+  stack.push(p, a);  // push A back: the second "A" of A-B-A
 }
 
 template <bool Counted>

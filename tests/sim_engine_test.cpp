@@ -8,7 +8,6 @@
 
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 namespace {
@@ -71,10 +70,10 @@ TEST(CostModel, InvalidationSurchargeScalesWithSharers) {
 
 // --- engine step semantics -------------------------------------------------
 
-Task<void> incrementer(Proc& p, Addr counter, int times) {
+void incrementer(Proc& p, Addr counter, int times) {
   for (int i = 0; i < times; ++i) {
-    const std::uint64_t v = co_await p.read(counter);
-    co_await p.write(counter, v + 1);
+    const std::uint64_t v = p.read(counter);
+    p.write(counter, v + 1);
   }
 }
 
@@ -107,11 +106,11 @@ TEST(Engine, UnsynchronisedIncrementsLoseUpdatesUnderInterleaving) {
   EXPECT_LT(engine.memory().peek(counter), 10u) << "no interleaving happened";
 }
 
-Task<void> cas_incrementer(Proc& p, Addr counter, int times) {
+void cas_incrementer(Proc& p, Addr counter, int times) {
   for (int i = 0; i < times; ++i) {
     for (;;) {
-      const std::uint64_t v = co_await p.read(counter);
-      const std::uint64_t old = co_await p.cas(counter, v, v + 1);
+      const std::uint64_t v = p.read(counter);
+      const std::uint64_t old = p.cas(counter, v, v + 1);
       if (old == v) break;
     }
   }
@@ -147,10 +146,10 @@ TEST(Engine, RandomScheduleIsDeterministicGivenSeed) {
   EXPECT_EQ(run(1234), run(1234));
 }
 
-Task<void> faa_probe(Proc& p, Addr a, std::uint64_t& first,
-                     std::uint64_t& second) {
-  first = co_await p.faa(a, 5);
-  second = co_await p.faa(a, 5);
+void faa_probe(Proc& p, Addr a, std::uint64_t& first,
+               std::uint64_t& second) {
+  first = p.faa(a, 5);
+  second = p.faa(a, 5);
 }
 
 TEST(Engine, FaaReturnsOldValue) {
@@ -181,11 +180,11 @@ TEST(Engine, FreezeExcludesProcessFromRandomScheduling) {
   EXPECT_TRUE(engine.done(frozen));
 }
 
-Task<void> labelled_writer(Proc& p, Addr a) {
-  co_await p.at("BEFORE_WRITE");
-  co_await p.write(a, 1);
-  co_await p.at("AFTER_WRITE");
-  co_await p.write(a, 2);
+void labelled_writer(Proc& p, Addr a) {
+  p.at("BEFORE_WRITE");
+  p.write(a, 1);
+  p.at("AFTER_WRITE");
+  p.write(a, 2);
 }
 
 TEST(Engine, FreezeAtLabelStopsBeforeLabelledOperation) {
@@ -206,10 +205,10 @@ TEST(Engine, FreezeAtLabelStopsBeforeLabelledOperation) {
 
 // --- cost-model / discrete-event scheduling --------------------------------
 
-Task<void> worker_with_work(Proc& p, Addr own_word, int rounds, double work) {
+void worker_with_work(Proc& p, Addr own_word, int rounds, double work) {
   for (int i = 0; i < rounds; ++i) {
-    co_await p.write(own_word, static_cast<std::uint64_t>(i));
-    co_await p.work(work);
+    p.write(own_word, static_cast<std::uint64_t>(i));
+    p.work(work);
   }
 }
 

@@ -20,7 +20,6 @@
 #include "check/lin_check.hpp"
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
-#include "sim/ms_queue_sim.hpp"
 #include "sim/queue_iface.hpp"
 #include "sim/workload.hpp"
 #include "tests/tiny_stack_sim.hpp"
@@ -34,18 +33,18 @@ using testing::TinyStack;
 // --- ABA search over the stack ----------------------------------------------
 
 template <bool Counted>
-Task<void> single_pop(Proc& p, TinyStack<Counted>& stack, std::uint64_t& out) {
-  out = co_await stack.pop(p);
+void single_pop(Proc& p, TinyStack<Counted>& stack, std::uint64_t& out) {
+  out = stack.pop(p);
 }
 
 template <bool Counted>
-Task<void> aba_mutator(Proc& p, TinyStack<Counted>& stack,
-                       std::uint64_t& first, std::uint64_t& second,
-                       bool& pushed_back) {
-  first = co_await stack.pop(p);
-  second = co_await stack.pop(p);
+void aba_mutator(Proc& p, TinyStack<Counted>& stack,
+                 std::uint64_t& first, std::uint64_t& second,
+                 bool& pushed_back) {
+  first = stack.pop(p);
+  second = stack.pop(p);
   if (first != kNullNode) {
-    co_await stack.push(p, first);  // the second "A" of A-B-A
+    stack.push(p, first);  // the second "A" of A-B-A
     pushed_back = true;
   }
 }
@@ -136,18 +135,18 @@ TEST(ExploreAba, CountedPointersSurviveTheWholeScheduleSpace) {
 
 // --- MS queue over the schedule space ----------------------------------------
 
-Task<void> one_pair(Proc& p, SimQueue& queue, std::uint32_t producer,
-                    check::ThreadLog& log, Engine& engine) {
+void one_pair(Proc& p, SimQueue& queue, std::uint32_t producer,
+              check::ThreadLog& log, Engine& engine) {
   const std::uint64_t value = check::encode_value(producer, 1);
   auto inv = static_cast<std::int64_t>(engine.total_steps());
   for (;;) {
-    const bool ok = co_await queue.enqueue(p, value);
+    const bool ok = queue.enqueue(p, value);
     if (ok) break;
   }
   log.record(check::OpKind::kEnqueue, value, inv,
              static_cast<std::int64_t>(engine.total_steps()));
   inv = static_cast<std::int64_t>(engine.total_steps());
-  const std::uint64_t out = co_await queue.dequeue(p);
+  const std::uint64_t out = queue.dequeue(p);
   log.record(out == kEmpty ? check::OpKind::kDequeueEmpty
                            : check::OpKind::kDequeue,
              out, inv, static_cast<std::int64_t>(engine.total_steps()));

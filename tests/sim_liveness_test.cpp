@@ -29,13 +29,13 @@ struct OpCounts {
   std::uint64_t empty = 0;
 };
 
-Task<void> endless_pairs(Proc& p, SimQueue& queue, std::uint32_t producer,
-                         OpCounts& counts) {
+void endless_pairs(Proc& p, SimQueue& queue, std::uint32_t producer,
+                   OpCounts& counts) {
   for (std::uint64_t i = 0;; ++i) {
     const bool enqueued =
-        co_await queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
+        queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
     if (enqueued) ++counts.enqueues;
-    const std::uint64_t got = co_await queue.dequeue(p);
+    const std::uint64_t got = queue.dequeue(p);
     if (got != kEmpty) {
       ++counts.dequeues;
     } else {
@@ -44,13 +44,13 @@ Task<void> endless_pairs(Proc& p, SimQueue& queue, std::uint32_t producer,
   }
 }
 
-Task<void> one_enqueue(Proc& p, SimQueue& queue, std::uint64_t value) {
-  co_await queue.enqueue(p, value);
+void one_enqueue(Proc& p, SimQueue& queue, std::uint64_t value) {
+  queue.enqueue(p, value);
 }
 
-Task<void> endless_dequeues(Proc& p, SimQueue& queue, OpCounts& counts) {
+void endless_dequeues(Proc& p, SimQueue& queue, OpCounts& counts) {
   for (;;) {
-    const std::uint64_t got = co_await queue.dequeue(p);
+    const std::uint64_t got = queue.dequeue(p);
     if (got != kEmpty) {
       ++counts.dequeues;
     } else {
@@ -59,18 +59,18 @@ Task<void> endless_dequeues(Proc& p, SimQueue& queue, OpCounts& counts) {
   }
 }
 
-Task<void> endless_enqueues(Proc& p, SimQueue& queue, std::uint32_t producer,
-                            OpCounts& counts) {
+void endless_enqueues(Proc& p, SimQueue& queue, std::uint32_t producer,
+                      OpCounts& counts) {
   for (std::uint64_t i = 0;; ++i) {
-    const bool ok = co_await queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
+    const bool ok = queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
     if (ok) ++counts.enqueues;
   }
 }
 
-Task<void> n_enqueues(Proc& p, SimQueue& queue, std::uint32_t producer,
-                      std::uint64_t n, OpCounts& counts) {
+void n_enqueues(Proc& p, SimQueue& queue, std::uint32_t producer,
+                std::uint64_t n, OpCounts& counts) {
   for (std::uint64_t i = 0; i < n; ++i) {
-    const bool ok = co_await queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
+    const bool ok = queue.enqueue(p, (std::uint64_t{producer} << 40) | i);
     if (ok) ++counts.enqueues;
   }
 }
@@ -123,7 +123,9 @@ class MsStallPoint : public ::testing::TestWithParam<const char*> {};
 // to OBSERVE a lagging tail; they get directed coverage below instead of
 // relying on a random schedule to produce the observation.
 INSTANTIATE_TEST_SUITE_P(AllLines, MsStallPoint,
-                         ::testing::Values("E5", "E9", "E13", "D2", "D12"));
+                         ::testing::Values("ms.E5.tail_load", "ms.E9.link_cas",
+                                           "ms.E13.tail_swing", "ms.D2.head_load",
+                                           "ms.D12.head_swing"));
 
 TEST_P(MsStallPoint, OthersMakeUnboundedProgressWhileVictimStalled) {
   const StallResult result = run_with_stall(Algo::kMs, GetParam(), 30'000);
@@ -139,14 +141,14 @@ TEST(MsLiveness, StallBetweenLinkAndTailSwingIsHelped) {
   // The crucial window: the victim has linked its node (E9 succeeded) but
   // never swings Tail (frozen at E13).  Others must fix Tail themselves
   // (E12/D9 helping) and keep completing BOTH kinds of operations.
-  const StallResult result = run_with_stall(Algo::kMs, "E13", 30'000);
+  const StallResult result = run_with_stall(Algo::kMs, "ms.E13.tail_swing", 30'000);
   ASSERT_TRUE(result.victim_frozen);
   EXPECT_GT(result.others.enqueues, 100u);
   EXPECT_GT(result.others.dequeues, 100u);
 }
 
-Task<void> one_dequeue(Proc& p, SimQueue& queue, std::uint64_t& out) {
-  out = co_await queue.dequeue(p);
+void one_dequeue(Proc& p, SimQueue& queue, std::uint64_t& out) {
+  out = queue.dequeue(p);
 }
 
 TEST(MsLiveness, HelpingPathsE12AndD9AreReachedAndComplete) {
@@ -165,11 +167,11 @@ TEST(MsLiveness, HelpingPathsE12AndD9AreReachedAndComplete) {
   const auto a = engine.spawn(0, [&](Proc& p) {
     return endless_enqueues(p, *queue, 7, a_counts);
   });
-  engine.freeze_at_label(a, "E13");
+  engine.freeze_at_label(a, "ms.E13.tail_swing");
   while (engine.step(a)) {
-    if (std::string(engine.label(a)) == "E13") break;
+    if (std::string(engine.label(a)) == "ms.E13.tail_swing") break;
   }
-  ASSERT_EQ(std::string(engine.label(a)), "E13");
+  ASSERT_EQ(std::string(engine.label(a)), "ms.E13.tail_swing");
   ASSERT_EQ(a_counts.enqueues, 0u) << "A must be mid-FIRST-enqueue";
 
   // B: dequeue must traverse D9.
@@ -177,11 +179,11 @@ TEST(MsLiveness, HelpingPathsE12AndD9AreReachedAndComplete) {
   const auto b = engine.spawn(0, [&](Proc& p) {
     return one_dequeue(p, *queue, b_got);
   });
-  engine.freeze_at_label(b, "D9");
+  engine.freeze_at_label(b, "ms.D9.tail_help");
   while (!engine.done(b) && engine.step(b)) {
-    if (std::string(engine.label(b)) == "D9") break;
+    if (std::string(engine.label(b)) == "ms.D9.tail_help") break;
   }
-  EXPECT_EQ(std::string(engine.label(b)), "D9")
+  EXPECT_EQ(std::string(engine.label(b)), "ms.D9.tail_help")
       << "dequeuer did not observe the lagging tail";
   engine.freeze_at_label(b, nullptr);
   engine.unfreeze(b);
@@ -196,21 +198,21 @@ TEST(MsLiveness, HelpingPathsE12AndD9AreReachedAndComplete) {
   const auto d = engine.spawn(0, [&](Proc& p) {
     return endless_enqueues(p, *queue, 8, d_counts);
   });
-  engine.freeze_at_label(d, "E13");
+  engine.freeze_at_label(d, "ms.E13.tail_swing");
   while (engine.step(d)) {
-    if (std::string(engine.label(d)) == "E13") break;
+    if (std::string(engine.label(d)) == "ms.E13.tail_swing") break;
   }
-  ASSERT_EQ(std::string(engine.label(d)), "E13");
+  ASSERT_EQ(std::string(engine.label(d)), "ms.E13.tail_swing");
 
   OpCounts c_counts;
   const auto c = engine.spawn(0, [&](Proc& p) {
     return endless_enqueues(p, *queue, 9, c_counts);
   });
-  engine.freeze_at_label(c, "E12");
-  for (int i = 0; i < 10'000 && std::string(engine.label(c)) != "E12"; ++i) {
+  engine.freeze_at_label(c, "ms.E12.tail_help");
+  for (int i = 0; i < 10'000 && std::string(engine.label(c)) != "ms.E12.tail_help"; ++i) {
     if (!engine.step(c)) break;
   }
-  EXPECT_EQ(std::string(engine.label(c)), "E12")
+  EXPECT_EQ(std::string(engine.label(c)), "ms.E12.tail_help")
       << "enqueuer did not observe the lagging tail";
   engine.freeze_at_label(c, nullptr);
   engine.unfreeze(c);

@@ -18,20 +18,20 @@ namespace msq::sim {
 namespace {
 
 /// Worker recording a history with the engine's step counter as the clock.
-Task<void> logged_pairs(Proc& p, SimQueue& queue, std::uint32_t producer,
-                        std::uint64_t pairs, check::ThreadLog& log) {
+void logged_pairs(Proc& p, SimQueue& queue, std::uint32_t producer,
+                  std::uint64_t pairs, check::ThreadLog& log) {
   Engine& engine = p.engine();
   for (std::uint64_t i = 0; i < pairs; ++i) {
     const std::uint64_t value = check::encode_value(producer, i);
     auto inv = static_cast<std::int64_t>(engine.total_steps());
     for (;;) {
-      const bool ok = co_await queue.enqueue(p, value);
+      const bool ok = queue.enqueue(p, value);
       if (ok) break;
     }
     log.record(check::OpKind::kEnqueue, value, inv,
                static_cast<std::int64_t>(engine.total_steps()));
     inv = static_cast<std::int64_t>(engine.total_steps());
-    const std::uint64_t out = co_await queue.dequeue(p);
+    const std::uint64_t out = queue.dequeue(p);
     log.record(out == kEmpty ? check::OpKind::kDequeueEmpty
                              : check::OpKind::kDequeue,
                out, inv, static_cast<std::int64_t>(engine.total_steps()));

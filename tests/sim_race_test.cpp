@@ -53,11 +53,11 @@ using testing::TinyStack;
 
 // --- the canonical bug: load-modify-store on a shared counter ---------------
 
-Task<void> unsync_increment(Proc& p, Addr counter) {
-  co_await p.at("C_READ");
-  const std::uint64_t v = co_await p.read(counter);
-  co_await p.at("C_WRITE");
-  co_await p.write(counter, v + 1);
+void unsync_increment(Proc& p, Addr counter) {
+  p.at("C_READ");
+  const std::uint64_t v = p.read(counter);
+  p.at("C_WRITE");
+  p.write(counter, v + 1);
 }
 
 TEST(RaceDetect, UnsynchronizedCounterFlagsRaceWithBothLabels) {
@@ -85,9 +85,9 @@ TEST(RaceDetect, UnsynchronizedCounterFlagsRaceWithBothLabels) {
       << "no report names the C_READ/C_WRITE pseudo-code lines";
 }
 
-Task<void> faa_increment(Proc& p, Addr counter) {
-  co_await p.at("C_FAA");
-  co_await p.faa(counter, 1);
+void faa_increment(Proc& p, Addr counter) {
+  p.at("C_FAA");
+  p.faa(counter, 1);
 }
 
 TEST(RaceDetect, FetchAndAddCounterIsCleanUnderRmwModel) {
@@ -110,21 +110,21 @@ TEST(RaceDetect, FetchAndAddCounterIsCleanUnderRmwModel) {
 // atomics lint's explicit-order rule exists to catch in real code; here the
 // detector catches it dynamically through the missing happens-before edge.
 
-Task<void> lock_protected_bump(Proc& p, Addr lock, Addr data,
-                               bool swap_unlock) {
+void lock_protected_bump(Proc& p, Addr lock, Addr data,
+                         bool swap_unlock) {
   for (;;) {
-    co_await p.at("L_ACQ");
-    const std::uint64_t old = co_await p.cas(lock, 0, 1);
+    p.at("L_ACQ");
+    const std::uint64_t old = p.cas(lock, 0, 1);
     if (old == 0) break;
   }
-  co_await p.at("L_DATA");
-  const std::uint64_t v = co_await p.read(data);
-  co_await p.write(data, v + 1);
-  co_await p.at("L_REL");
+  p.at("L_DATA");
+  const std::uint64_t v = p.read(data);
+  p.write(data, v + 1);
+  p.at("L_REL");
   if (swap_unlock) {
-    co_await p.swap(lock, 0);  // RMW: carries the release edge
+    p.swap(lock, 0);  // RMW: carries the release edge
   } else {
-    co_await p.write(lock, 0);  // plain write: edge silently dropped
+    p.write(lock, 0);  // plain write: edge silently dropped
   }
 }
 
@@ -153,15 +153,15 @@ TEST(RaceDetect, SpinLockWithPlainWriteUnlockRaces) {
 
 // --- the queues under their declared edges ----------------------------------
 
-Task<void> enqueue_one(Proc& p, SimQueue& queue, std::uint64_t value) {
+void enqueue_one(Proc& p, SimQueue& queue, std::uint64_t value) {
   for (;;) {
-    const bool ok = co_await queue.enqueue(p, value);
+    const bool ok = queue.enqueue(p, value);
     if (ok) break;
   }
 }
 
-Task<void> dequeue_one(Proc& p, SimQueue& queue, std::uint64_t& out) {
-  out = co_await queue.dequeue(p);
+void dequeue_one(Proc& p, SimQueue& queue, std::uint64_t& out) {
+  out = queue.dequeue(p);
 }
 
 /// One producer, one consumer over a fresh simulated queue with race
@@ -243,8 +243,8 @@ struct PopRaceWorld {
     engine.spawn(0, [this](Proc& p) { return pop_into(p, p1); });
   }
 
-  Task<void> pop_into(Proc& p, std::uint64_t& out) {
-    out = co_await stack.pop(p);
+  void pop_into(Proc& p, std::uint64_t& out) {
+    out = stack.pop(p);
   }
 
   [[nodiscard]] std::string terminal() const {

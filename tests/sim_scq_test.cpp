@@ -29,7 +29,6 @@
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
 #include "sim/scq_ring_sim.hpp"
-#include "sim/task.hpp"
 
 namespace msq::sim {
 namespace {
@@ -56,16 +55,16 @@ struct ScqWorld {
   // A half=1 ring only holds one index, so value 2's deposit can depend on
   // the consumer draining value 1 first; the FAA-round budget keeps
   // schedules where the consumer never does finite for DPOR.
-  Task<void> producer(Proc& p) {
+  void producer(Proc& p) {
     for (std::uint32_t v = 0; v < kValues; ++v) {
-      enq_ok[v] = co_await ring.enqueue(p, v + 1, kEnqBudget);
+      enq_ok[v] = ring.enqueue(p, v + 1, kEnqBudget);
       if (!enq_ok[v]) break;  // budget ran dry: give up (tracked)
     }
   }
 
-  Task<void> consumer(Proc& p) {
+  void consumer(Proc& p) {
     for (std::uint32_t i = 0; i < kAttempts; ++i) {
-      const std::uint32_t r = co_await ring.dequeue(p);
+      const std::uint32_t r = ring.dequeue(p);
       if (r != SimScqRing::kBottom) got.push_back(r);
     }
   }
@@ -118,21 +117,19 @@ TEST(SimScqDpor, EveryScheduleTerminatesWithinTheThresholdRoundBound) {
 
 // ---- movements 2 & 3: the directed chase choreography ------------------
 
-// Free coroutine helpers: spawn() lambdas must NOT be coroutines
-// themselves (their captures would dangle with the temporary lambda);
-// plain lambdas calling these copy the arguments into the frame.
-Task<void> enq_into(Proc& p, SimScqRing& ring, std::uint32_t idx, bool& ok) {
-  ok = co_await ring.enqueue(p, idx);
+// Process bodies for the choreography's spawn() lambdas.
+void enq_into(Proc& p, SimScqRing& ring, std::uint32_t idx, bool& ok) {
+  ok = ring.enqueue(p, idx);
 }
 
-Task<void> deq_into(Proc& p, SimScqRing& ring, std::uint32_t& out) {
-  out = co_await ring.dequeue(p);
+void deq_into(Proc& p, SimScqRing& ring, std::uint32_t& out) {
+  out = ring.dequeue(p);
 }
 
-Task<void> drain_n(Proc& p, SimScqRing& ring, int n,
-                   std::vector<std::uint32_t>& out) {
+void drain_n(Proc& p, SimScqRing& ring, int n,
+             std::vector<std::uint32_t>& out) {
   for (int i = 0; i < n; ++i) {
-    const std::uint32_t r = co_await ring.dequeue(p);
+    const std::uint32_t r = ring.dequeue(p);
     if (r != SimScqRing::kBottom) out.push_back(r);
   }
 }
@@ -253,14 +250,14 @@ TEST(SimScqLivelock, TheThresholdEndsTheSameChaseAndTheRingRecovers) {
 
 // ---- single-proc sanity: init-full ring + FIFO through the remap -------
 
-Task<void> drain_lap(Proc& p, SimScqRing& ring,
-                     std::vector<std::uint32_t>& out) {
+void drain_lap(Proc& p, SimScqRing& ring,
+               std::vector<std::uint32_t>& out) {
   for (int i = 0; i < 5; ++i) {
-    out.push_back(co_await ring.dequeue(p));
+    out.push_back(ring.dequeue(p));
   }
   // Recycle one index and take it back: one full produce/consume lap.
-  (void)co_await ring.enqueue(p, 2);
-  out.push_back(co_await ring.dequeue(p));
+  (void)ring.enqueue(p, 2);
+  out.push_back(ring.dequeue(p));
 }
 
 TEST(SimScqRingBasic, InitFullRingDrainsInOrderAndRefusesWhenEmpty) {

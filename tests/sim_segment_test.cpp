@@ -20,7 +20,6 @@
 #include <string_view>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::sim {
@@ -48,42 +47,42 @@ struct SimSegment {
         value(engine.memory().alloc(kSlots)) {}
 };
 
-Task<void> seg_enqueue(Proc& p, SimSegment& s, std::uint64_t v,
-                       std::uint64_t& landed_slot) {
+void seg_enqueue(Proc& p, SimSegment& s, std::uint64_t v,
+                 std::uint64_t& landed_slot) {
   for (;;) {
-    const std::uint64_t t = co_await p.faa(s.enq, 1);
+    const std::uint64_t t = p.faa(s.enq, 1);
     if (t >= SimSegment::kSlots) {
       landed_slot = kNone;  // segment full (would append in the real queue)
-      co_return;
+      return;
     }
-    co_await p.write(s.value + static_cast<Addr>(t), v);
-    co_await p.at("FILL_CAS");
+    p.write(s.value + static_cast<Addr>(t), v);
+    p.at("FILL_CAS");
     const std::uint64_t old =
-        co_await p.cas(s.state + static_cast<Addr>(t), kEmpty, kFilled);
+        p.cas(s.state + static_cast<Addr>(t), kEmpty, kFilled);
     if (old == kEmpty) {
       landed_slot = t;
-      co_return;
+      return;
     }
     // Slot was killed by an impatient dequeuer: take a fresh ticket.
   }
 }
 
-Task<void> seg_dequeue(Proc& p, SimSegment& s, std::uint64_t& out) {
+void seg_dequeue(Proc& p, SimSegment& s, std::uint64_t& out) {
   for (;;) {
-    const std::uint64_t d = co_await p.read(s.deq);
-    const std::uint64_t e = co_await p.read(s.enq);
+    const std::uint64_t d = p.read(s.deq);
+    const std::uint64_t e = p.read(s.enq);
     const std::uint64_t limit = e < SimSegment::kSlots ? e : SimSegment::kSlots;
     if (d >= limit) {
       out = kNone;
-      co_return;
+      return;
     }
-    const std::uint64_t t = co_await p.faa(s.deq, 1);
+    const std::uint64_t t = p.faa(s.deq, 1);
     if (t >= SimSegment::kSlots) continue;
     const std::uint64_t prev =
-        co_await p.swap(s.state + static_cast<Addr>(t), kTaken);
+        p.swap(s.state + static_cast<Addr>(t), kTaken);
     if (prev == kFilled) {
-      out = co_await p.read(s.value + static_cast<Addr>(t));
-      co_return;
+      out = p.read(s.value + static_cast<Addr>(t));
+      return;
     }
     // Killed an in-flight enqueuer's slot; burn onwards.
   }
@@ -157,61 +156,61 @@ struct MiniQueue {
 
 /// Counted-pointer-only discipline: FAA first, validate the counter after.
 /// The validation *detects* the recycling but the ticket is already gone.
-Task<void> naive_dequeue(Proc& p, MiniQueue& q, std::uint64_t& out) {
-  const std::uint64_t h = co_await p.read(q.head);
-  co_await p.at("STALE_FAA");
-  const std::uint64_t t = co_await p.faa(q.deq, 1);
-  const std::uint64_t h2 = co_await p.read(q.head);
+void naive_dequeue(Proc& p, MiniQueue& q, std::uint64_t& out) {
+  const std::uint64_t h = p.read(q.head);
+  p.at("STALE_FAA");
+  const std::uint64_t t = p.faa(q.deq, 1);
+  const std::uint64_t h2 = p.read(q.head);
   if (h2 != h) {
     out = kNone;  // "safely" aborted -- but ticket t is burned
-    co_return;
+    return;
   }
-  if (t >= co_await p.read(q.enq)) {
+  if (t >= p.read(q.enq)) {
     out = kNone;
-    co_return;
+    return;
   }
-  const std::uint64_t prev = co_await p.swap(q.state, kTaken);
-  out = prev == kFilled ? co_await p.read(q.value) : kNone;
+  const std::uint64_t prev = p.swap(q.state, kTaken);
+  out = prev == kFilled ? p.read(q.value) : kNone;
 }
 
 /// Hazard-cell discipline: publish, re-read, and only FAA once the head is
 /// revalidated (segment_queue.hpp's Protector::protect handshake).
-Task<void> guarded_dequeue(Proc& p, MiniQueue& q, Addr hazard,
-                           std::uint64_t& out) {
-  std::uint64_t h = co_await p.read(q.head);
+void guarded_dequeue(Proc& p, MiniQueue& q, Addr hazard,
+                     std::uint64_t& out) {
+  std::uint64_t h = p.read(q.head);
   for (;;) {
-    co_await p.write(hazard, h);
-    co_await p.at("REVALIDATE");
-    const std::uint64_t h2 = co_await p.read(q.head);
+    p.write(hazard, h);
+    p.at("REVALIDATE");
+    const std::uint64_t h2 = p.read(q.head);
     if (h2 == h) break;
     h = h2;  // retarget and re-validate against the current head
   }
-  const std::uint64_t t = co_await p.faa(q.deq, 1);
-  if (t >= co_await p.read(q.enq)) {
+  const std::uint64_t t = p.faa(q.deq, 1);
+  if (t >= p.read(q.enq)) {
     out = kNone;
-    co_return;
+    return;
   }
-  const std::uint64_t prev = co_await p.swap(q.state, kTaken);
-  out = prev == kFilled ? co_await p.read(q.value) : kNone;
+  const std::uint64_t prev = p.swap(q.state, kTaken);
+  out = prev == kFilled ? p.read(q.value) : kNone;
 }
 
 /// Mutator: dequeue the generation-0 item legitimately, then recycle the
 /// segment in place (reset tickets, enqueue 99, bump the head counter) --
 /// the same index, a new generation, exactly what the free list enables.
-Task<void> drain_and_recycle(Proc& p, MiniQueue& q, bool& ok) {
-  const std::uint64_t t = co_await p.faa(q.deq, 1);
-  const std::uint64_t prev = co_await p.swap(q.state, kTaken);
-  ok = (t == 0 && prev == kFilled) && co_await p.read(q.value) == 7;
+void drain_and_recycle(Proc& p, MiniQueue& q, bool& ok) {
+  const std::uint64_t t = p.faa(q.deq, 1);
+  const std::uint64_t prev = p.swap(q.state, kTaken);
+  ok = (t == 0 && prev == kFilled) && p.read(q.value) == 7;
   // Recycle: reset as the new exclusive owner would (reset-at-alloc).
-  co_await p.write(q.state, kEmpty);
-  co_await p.write(q.enq, 0);
-  co_await p.write(q.deq, 0);
-  const std::uint64_t h = co_await p.read(q.head);
-  co_await p.cas(q.head, h, tagged::TaggedIndex::from_bits(h).successor(7).bits());
+  p.write(q.state, kEmpty);
+  p.write(q.enq, 0);
+  p.write(q.deq, 0);
+  const std::uint64_t h = p.read(q.head);
+  p.cas(q.head, h, tagged::TaggedIndex::from_bits(h).successor(7).bits());
   // New generation's first enqueue: item 99 into slot 0.
-  const std::uint64_t e = co_await p.faa(q.enq, 1);
-  co_await p.write(q.value, 99);
-  co_await p.cas(q.state + static_cast<Addr>(e), kEmpty, kFilled);
+  const std::uint64_t e = p.faa(q.enq, 1);
+  p.write(q.value, 99);
+  p.cas(q.state + static_cast<Addr>(e), kEmpty, kFilled);
 }
 
 template <bool Guarded>

@@ -42,58 +42,58 @@ constexpr std::uint64_t kNoResult = ~0ull;
 
 /// Take the observed item out of one shard word, count preserved.  CAS so
 /// a racing taker loses cleanly; returns the item or 0.
-Task<std::uint64_t> take_item(Proc& p, Addr shard) {
+std::uint64_t take_item(Proc& p, Addr shard) {
   for (;;) {
-    const std::uint64_t s = co_await p.read(shard);
+    const std::uint64_t s = p.read(shard);
     const std::uint64_t item = shard_item(s);
-    if (item == 0) co_return 0;
-    co_await p.at("SHARD_TAKE");
-    if (co_await p.cas(shard, s, s - item) == s) co_return item;
+    if (item == 0) return 0;
+    p.at("SHARD_TAKE");
+    if (p.cas(shard, s, s - item) == s) return item;
   }
 }
 
 /// The buggy sweep: each shard checked once, in order, no coherence check.
-Task<void> naive_dequeue(Proc& p, Addr shard_a, Addr shard_b,
-                         std::uint64_t& result) {
-  co_await p.at("SCAN_A");
-  std::uint64_t item = co_await take_item(p, shard_a);
+void naive_dequeue(Proc& p, Addr shard_a, Addr shard_b,
+                   std::uint64_t& result) {
+  p.at("SCAN_A");
+  std::uint64_t item = take_item(p, shard_a);
   if (item != 0) {
     result = item;
-    co_return;
+    return;
   }
-  co_await p.at("SCAN_B");
-  item = co_await take_item(p, shard_b);
+  p.at("SCAN_B");
+  item = take_item(p, shard_b);
   result = item;  // 0 = reported empty
 }
 
 /// The fixed sweep: counts collected before and after; an empty verdict is
 /// only returned if no enqueue bumped any count across the whole scan,
 /// otherwise the sweep re-runs (sharded_queue.hpp try_dequeue).
-Task<void> guarded_dequeue(Proc& p, Addr shard_a, Addr shard_b,
-                           std::uint64_t& result) {
+void guarded_dequeue(Proc& p, Addr shard_a, Addr shard_b,
+                     std::uint64_t& result) {
   for (;;) {
-    co_await p.at("COLLECT");
-    const std::uint64_t pre_a = co_await p.read(shard_a);
-    const std::uint64_t pre_b = co_await p.read(shard_b);
-    co_await p.at("SCAN_A");
-    std::uint64_t item = co_await take_item(p, shard_a);
+    p.at("COLLECT");
+    const std::uint64_t pre_a = p.read(shard_a);
+    const std::uint64_t pre_b = p.read(shard_b);
+    p.at("SCAN_A");
+    std::uint64_t item = take_item(p, shard_a);
     if (item != 0) {
       result = item;
-      co_return;
+      return;
     }
-    co_await p.at("SCAN_B");
-    item = co_await take_item(p, shard_b);
+    p.at("SCAN_B");
+    item = take_item(p, shard_b);
     if (item != 0) {
       result = item;
-      co_return;
+      return;
     }
-    co_await p.at("VERIFY");
-    const std::uint64_t post_a = co_await p.read(shard_a);
-    const std::uint64_t post_b = co_await p.read(shard_b);
+    p.at("VERIFY");
+    const std::uint64_t post_a = p.read(shard_a);
+    const std::uint64_t post_b = p.read(shard_b);
     if (shard_count(post_a) == shard_count(pre_a) &&
         shard_count(post_b) == shard_count(pre_b)) {
       result = 0;  // coherent: all shards simultaneously empty
-      co_return;
+      return;
     }
     // A ticket moved: an enqueue landed mid-scan; rescan (kEmptyRescan in
     // the real queue).  Terminates: the model's producer enqueues once.
@@ -101,24 +101,24 @@ Task<void> guarded_dequeue(Proc& p, Addr shard_a, Addr shard_b,
 }
 
 /// Single-step enqueue: bump count and deposit the item atomically.
-Task<void> enqueue_item(Proc& p, Addr shard, std::uint64_t value) {
-  co_await p.at("ENQ");
-  co_await p.faa(shard, kCountOne + value);
+void enqueue_item(Proc& p, Addr shard, std::uint64_t value) {
+  p.at("ENQ");
+  p.faa(shard, kCountOne + value);
 }
 
 /// The witness of continuous non-emptiness: drains shard B only after
 /// seeing shard A non-empty.  If it got B's item, then from time 0 (B
 /// pre-loaded) through its take (A already filled) through the consumer's
 /// verdict (nobody else empties A), some shard always held an item.
-Task<void> steal_after_seeing(Proc& p, Addr shard_a, Addr shard_b,
-                              std::uint64_t& got) {
-  co_await p.at("PEEK_A");
-  const std::uint64_t a = co_await p.read(shard_a);
+void steal_after_seeing(Proc& p, Addr shard_a, Addr shard_b,
+                        std::uint64_t& got) {
+  p.at("PEEK_A");
+  const std::uint64_t a = p.read(shard_a);
   if (shard_item(a) == 0) {
     got = 0;
-    co_return;
+    return;
   }
-  got = co_await take_item(p, shard_b);
+  got = take_item(p, shard_b);
 }
 
 constexpr std::uint64_t kItemA = 5;

@@ -3,9 +3,10 @@
 // table-driven sweep in tools/mo_mutation_sweep.cpp which covers every
 // site.  Four claims are pinned down here:
 //
-//  1. a deliberately mis-annotated MS queue (plain D4 next read) is flagged
-//     with a trace that names the paper's pseudo-code lines;
-//  2. the correctly annotated model explores clean under SyncModel::kOrders,
+//  1. the shipped MS queue (queues/ms_queue.hpp) with its D4 next read
+//     mutated to a plain read is flagged with a trace that names the
+//     paper's pseudo-code lines;
+//  2. the shipped orders explore clean under SyncModel::kOrders,
 //     and the E9/E13 order weakenings the table calls "masked by the pool's
 //     acq_rel mesh" really are silent;
 //  3. store-buffer mode DEGENERATES to the SC search when every access is
@@ -26,8 +27,8 @@
 #include "sim/explore.hpp"
 #include "sim/litmus_sim.hpp"
 #include "sim/mo_table.hpp"
-#include "sim/ms_queue_sim.hpp"
 #include "sim/queue_iface.hpp"
+#include "sim/shipped.hpp"
 #include "sim/sim_lock.hpp"
 
 namespace msq::sim {
@@ -50,7 +51,7 @@ namespace {
 
 struct MsOrderWorld {
   Engine engine;
-  SimMsQueue queue;
+  ShippedMsQueue queue;
 
   MsOrderWorld(const MoTable* mo, bool weak)
       : engine(order_config(weak)), queue(engine, /*capacity=*/2,
@@ -59,15 +60,15 @@ struct MsOrderWorld {
     engine.spawn(0, [this](Proc& p) { return consume(p); });
   }
 
-  Task<void> produce(Proc& p) {
-    const bool ok = co_await queue.enqueue(p, 7);
+  void produce(Proc& p) {
+    const bool ok = queue.enqueue(p, 7);
     (void)ok;
   }
 
-  Task<void> consume(Proc& p) {
+  void consume(Proc& p) {
     for (int attempt = 0; attempt < 2; ++attempt) {
-      const std::uint64_t v = co_await queue.dequeue(p);
-      if (v != kEmpty) co_return;
+      const std::uint64_t v = queue.dequeue(p);
+      if (v != kEmpty) return;
     }
   }
 };
@@ -99,9 +100,9 @@ std::uint64_t ms_world_races(const MoTable* mo,
   return observed;
 }
 
-// A mis-annotated model is flagged, and the trace speaks pseudo-code: the
-// plain D4 next read races with the concurrent E9 link CAS, and the report
-// names both lines.
+// A mutated D4 is flagged, and the trace speaks pseudo-code: the plain D4
+// next read races with the concurrent E9 link CAS, and the report names
+// both lines by their site names.
 TEST(SimWeakMemory, PlainD4NextReadIsFlaggedWithLabelledTrace) {
   MoTable table;
   table.set("ms.D4.next_load", check::MemOrder::kPlain);
@@ -110,7 +111,9 @@ TEST(SimWeakMemory, PlainD4NextReadIsFlaggedWithLabelledTrace) {
   EXPECT_GT(observed, 0u) << "plain D4 must race with the E9 link CAS";
   bool d4_vs_e9 = false;
   for (const check::RaceReport& r : reports) {
-    if (has_label(r, "D4") && has_label(r, "E9")) d4_vs_e9 = true;
+    if (has_label(r, "ms.D4.next_load") && has_label(r, "ms.E9.link_cas")) {
+      d4_vs_e9 = true;
+    }
   }
   EXPECT_TRUE(d4_vs_e9)
       << "expected a report naming [D4] vs [E9], got " << reports.size()
@@ -118,12 +121,12 @@ TEST(SimWeakMemory, PlainD4NextReadIsFlaggedWithLabelledTrace) {
       << (reports.empty() ? "" : (": " + reports.front().format()).c_str());
 }
 
-// The annotated model is clean, and the two "masked by the free list's
+// The shipped orders are clean, and the two "masked by the free list's
 // acq_rel mesh" weakenings from sim/mo_table.hpp really are unobservable:
 // the sweep proves it across all worlds; this directed case documents the
 // 1p1c instance.
 TEST(SimWeakMemory, AnnotatedModelAndMaskedWeakeningsExploreClean) {
-  EXPECT_EQ(ms_world_races(nullptr), 0u) << "annotated MS queue raced";
+  EXPECT_EQ(ms_world_races(nullptr), 0u) << "shipped MS queue raced";
 
   MoTable e9;
   e9.set("ms.E9.link_cas", check::MemOrder::kRelaxed);
@@ -228,11 +231,11 @@ struct LockWorld {
     }
   }
 
-  Task<void> worker(Proc& p) {
-    co_await lock.lock(p);
-    const std::uint64_t v = co_await p.read(counter, check::MemOrder::kPlain);
-    co_await p.write(counter, v + 1, check::MemOrder::kPlain);
-    co_await lock.unlock(p);
+  void worker(Proc& p) {
+    lock.lock(p);
+    const std::uint64_t v = p.read(counter, check::MemOrder::kPlain);
+    p.write(counter, v + 1, check::MemOrder::kPlain);
+    lock.unlock(p);
   }
 };
 

@@ -6,7 +6,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
-#include "sim/task.hpp"
 #include "sim/workload.hpp"
 
 namespace msq::sim {
@@ -78,9 +77,9 @@ TEST(SimWorkloadConfig, MoreOtherWorkMeansMoreElapsedButSimilarNet) {
 
 // --- run_schedule ------------------------------------------------------------
 
-Task<void> write_n(Proc& p, Addr base, int n) {
+void write_n(Proc& p, Addr base, int n) {
   for (int i = 0; i < n; ++i) {
-    co_await p.write(base + static_cast<Addr>(i), 1 + p.id());
+    p.write(base + static_cast<Addr>(i), 1 + p.id());
   }
 }
 
@@ -90,7 +89,7 @@ TEST(RunSchedule, RoundRobinWithoutPreemptionsRunsFirstProcessFirst) {
   engine.spawn(0, [&](Proc& p) { return write_n(p, words, 4); });
   engine.spawn(0, [&](Proc& p) { return write_n(p, words + 4, 4); });
   // run_schedule counts RESUMES: each process needs one resume per memory
-  // access plus one final resume in which the coroutine completes.
+  // access plus one final resume in which the process body returns.
   const std::uint64_t steps = run_schedule(engine, {}, 1'000, nullptr);
   EXPECT_EQ(steps, 10u);
   EXPECT_TRUE(engine.all_done());
@@ -99,9 +98,9 @@ TEST(RunSchedule, RoundRobinWithoutPreemptionsRunsFirstProcessFirst) {
   for (Addr a = words; a < words + 8; ++a) EXPECT_NE(engine.memory().peek(a), 0u);
 }
 
-Task<void> two_writes(Proc& p, Addr a, Addr b) {
-  co_await p.write(a, p.id() + 1);
-  co_await p.write(b, p.id() + 1);
+void two_writes(Proc& p, Addr a, Addr b) {
+  p.write(a, p.id() + 1);
+  p.write(b, p.id() + 1);
 }
 
 TEST(RunSchedule, ForcedPreemptionSwitchesProcesses) {
@@ -118,11 +117,11 @@ TEST(RunSchedule, ForcedPreemptionSwitchesProcesses) {
   EXPECT_EQ(engine.memory().peek(words + 1), 2u);  // process 1 ran
 }
 
-Task<void> spin_on_flag(Proc& p, Addr flag) {
+void spin_on_flag(Proc& p, Addr flag) {
   for (;;) {
-    const std::uint64_t v = co_await p.read(flag);
-    if (v != 0) co_return;
-    co_await p.work(1);
+    const std::uint64_t v = p.read(flag);
+    if (v != 0) return;
+    p.work(1);
   }
 }
 

@@ -50,8 +50,8 @@ TEST(SpscRing, ProducerConsumerStreamIsLossless) {
   constexpr std::uint64_t kItems = 500'000;
   std::uint64_t sum = 0;
   {
-    // The RING is wait-free; the TEST must still yield when its partner
-    // owns the single hardware core, or each 16-item burst costs a whole
+    // The RING is wait-free; the TEST must still yield in case its partner
+    // is preempted (threads > cores), or each 16-item burst costs a whole
     // scheduling quantum.
     std::jthread consumer([&] {
       std::uint64_t received = 0;

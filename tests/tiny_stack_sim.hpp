@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::sim::testing {
@@ -30,24 +29,24 @@ class TinyStack {
     return nodes_ + static_cast<Addr>(node);
   }
 
-  Task<void> push(Proc& p, std::uint64_t node) {
+  void push(Proc& p, std::uint64_t node) {
     for (;;) {
-      const std::uint64_t top = co_await p.read(top_);
-      co_await p.write(next_addr(node), encode(index_of(top), 0));
-      const std::uint64_t old = co_await p.cas(top_, top, bump(top, node));
-      if (old == top) co_return;
+      const std::uint64_t top = p.read(top_);
+      p.write(next_addr(node), encode(index_of(top), 0));
+      const std::uint64_t old = p.cas(top_, top, bump(top, node));
+      if (old == top) return;
     }
   }
 
-  Task<std::uint64_t> pop(Proc& p) {
+  std::uint64_t pop(Proc& p) {
     for (;;) {
-      const std::uint64_t top = co_await p.read(top_);
-      if (index_of(top) == kNullNode) co_return kNullNode;
-      const std::uint64_t next = co_await p.read(next_addr(index_of(top)));
-      co_await p.at("POP_CAS");
-      const std::uint64_t old = co_await p.cas(top_, top, bump(top, index_of(next)));
+      const std::uint64_t top = p.read(top_);
+      if (index_of(top) == kNullNode) return kNullNode;
+      const std::uint64_t next = p.read(next_addr(index_of(top)));
+      p.at("POP_CAS");
+      const std::uint64_t old = p.cas(top_, top, bump(top, index_of(next)));
       if (old == top) {
-        co_return index_of(top);
+        return index_of(top);
       }
     }
   }

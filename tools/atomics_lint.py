@@ -37,6 +37,12 @@ explicit and justified at the site.  Four rules, over .hpp/.cpp files:
 4. no-volatile: `volatile` is banned -- it is not a synchronization
    primitive in C++.  Inline assembly (`asm volatile`) is exempt.
 
+5. site-binding: the simulator runs the shipped MS queue and free list
+   (src/sim/shipped.hpp) and knows each access by the site name the
+   shipped line passes.  Every ms.*/fl.* MSQ_MO_SITE row must be named on
+   exactly one line of src/queues/ms_queue.hpp + src/mem/freelist.hpp, and
+   every "ms.X.y" / "fl.y" literal there must name a row.
+
 Known limits (by design, this is a grep-class linter, not a parser):
 operator sugar on atomics (`++x`, `x = v`) and `atomic_flag::clear()` are
 not caught -- the wrappers avoid the former and nothing uses the latter.
@@ -257,6 +263,35 @@ def check_no_volatile(path, lines, out):
                 "std::atomic with an explicit order"))
 
 
+SHIPPED_SITE_FILES = ("src/queues/ms_queue.hpp", "src/mem/freelist.hpp")
+# "ms.E9.link_cas", "fl.pop_top" -- not the two-part fault probes ("ms.E9").
+BINDING_RE = re.compile(r'"(ms\.[A-Za-z0-9]+\.[A-Za-z0-9_]+|fl\.[A-Za-z0-9_]+)"')
+
+
+def check_site_bindings(files, sites, out):
+    """`files`: {path: lines} of the shipped sources; `sites`: the table's
+    site names.  Each ms./fl. site must be bound on exactly one line, and
+    each binding must name a site."""
+    lines_of = {}
+    for path, lines in files.items():
+        for i, line in enumerate(lines):
+            for name in set(BINDING_RE.findall(strip_comment(line))):
+                lines_of.setdefault(name, []).append((path, i + 1))
+                if name not in sites:
+                    out.append(Violation(
+                        path, i + 1, "site-binding",
+                        f"'{name}' is not an MSQ_MO_SITE row in "
+                        f"src/sim/mo_table.hpp"))
+    for name in sorted(s for s in sites if s.startswith(("ms.", "fl."))):
+        where = lines_of.get(name, [])
+        if len(where) != 1:
+            places = ", ".join(f"{p}:{n}" for p, n in where) or "nowhere"
+            out.append(Violation(
+                SHIPPED_SITE_FILES[0], 0, "site-binding",
+                f"site '{name}' must be bound on exactly one shipped line, "
+                f"found {len(where)} ({places})"))
+
+
 def lint_file(path):
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -408,11 +443,33 @@ def self_test():
         if unexpected:
             failures.append(f"bad proof snippet ({name}) also tripped: " +
                             "; ".join(str(v) for v in unexpected))
+    sites = {"ms.E9.link_cas", "fl.push_cas", "sb.store_flag"}
+    bound_once = ['x.compare_and_swap(a, b, o, "ms.E9.link_cas");',
+                  'top_.compare_and_swap(a, b, o, "fl.push_cas");']
+    got = []
+    check_site_bindings({"ms_queue.hpp": bound_once}, sites, got)
+    if got:
+        failures.append("clean site bindings flagged: " +
+                        "; ".join(str(v) for v in got))
+    bad_bindings = {
+        "site bound on two lines":
+            bound_once + ['y.compare_and_swap(a, b, o, "ms.E9.link_cas");'],
+        "site bound nowhere": bound_once[:1],
+        "binding names an unknown site":
+            bound_once + ['y.load(o, "ms.E99.no_such_site");'],
+    }
+    for name, text in bad_bindings.items():
+        got = []
+        check_site_bindings({"ms_queue.hpp": text}, sites, got)
+        if not any(v.rule == "site-binding" for v in got):
+            failures.append(f"seeded site-binding violation ({name}) "
+                            f"NOT detected")
     for f in failures:
         print(f"self-test FAIL: {f}", file=sys.stderr)
     if not failures:
         print("self-test ok: clean snippets pass, all 4 seeded rule "
-              "violations and all 3 seeded proof violations detected")
+              "violations, all 3 seeded proof violations and all 3 seeded "
+              "site-binding violations detected")
     return 1 if failures else 0
 
 
@@ -423,9 +480,17 @@ def main(argv):
     paths = args or ["src"]
     violations = []
     n_files = 0
+    shipped = {}
     for path in iter_sources(paths):
         n_files += 1
         violations += lint_file(path)
+        norm = path.replace(os.sep, "/")
+        if norm.endswith(SHIPPED_SITE_FILES):
+            with open(path, encoding="utf-8", errors="replace") as f:
+                shipped[norm] = f.read().splitlines()
+    sites = mo_sweep_sites()
+    if len(shipped) == len(SHIPPED_SITE_FILES) and sites is not None:
+        check_site_bindings(shipped, sites, violations)
     for v in violations:
         print(f"error: {v}", file=sys.stderr)
     if not violations:
