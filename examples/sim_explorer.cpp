@@ -4,16 +4,17 @@
 //
 //   ./build/examples/sim_explorer        # default: MS, stall ms.E13.tail_swing
 //   ./build/examples/sim_explorer ms ms.E9.link_cas
-//   ./build/examples/sim_explorer two-lock T_HELD
-//   ./build/examples/sim_explorer single-lock LOCK_HELD
-//   ./build/examples/sim_explorer mc MC_LINK
+//   ./build/examples/sim_explorer two-lock twolock.E5.tail_read
+//   ./build/examples/sim_explorer single-lock singlelock.alloc_top_read
+//   ./build/examples/sim_explorer mc mc.link_store
 //
-// Labels: MS (the shipped queues/ms_queue.hpp) takes any ms.* or fl.* site
-//         of sim/mo_table.hpp, e.g. ms.E5.tail_load ms.E9.link_cas
-//         ms.E12.tail_help ms.E13.tail_swing ms.D2.head_load
-//         ms.D9.tail_help ms.D12.head_swing; two-lock T_HELD H_HELD;
-//         single-lock LOCK_HELD; mc MC_LINK MC_SWING;
-//         plj PLJ_LINK PLJ_SWING; valois V_LINK V_SWING.
+// Labels: every queue is the shipped code (sim/shipped.hpp), so a label is
+// the site name one of its accesses passes, e.g. MS ms.E5.tail_load
+// ms.E9.link_cas ms.E12.tail_help ms.E13.tail_swing ms.D2.head_load
+// ms.D9.tail_help ms.D12.head_swing (or any fl.* site); two-lock
+// twolock.E5.tail_read twolock.D2.head_read; single-lock
+// singlelock.alloc_top_read singlelock.deq_head_read; mc mc.link_store
+// mc.head_cas; plj plj.link_cas plj.head_cas; valois valois.link_cas.
 #include <cstdint>
 #include <cstring>
 #include <iostream>

@@ -19,6 +19,9 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
+
+#include "port/atomic.hpp"
 
 namespace msq::mem {
 
@@ -57,13 +60,51 @@ class ValueCell {
   std::atomic<std::uint64_t> bits_{0};
 };
 
-/// The value cell a node pairs with its counted word `Word`: ValueCell,
-/// unless the word's header specializes this (the simulator's word does).
+/// A plain field guarded by a lock (the lock-based queues' Head, Tail,
+/// values and private free list).  No atomicity: the lock orders every
+/// access, so any T works, non-trivially-copyable ones included.  `site`
+/// names the access for the simulator's cell, which is a plain-order word
+/// the race detector and the cost model see (sim/shipped.hpp).
+template <typename T>
+class GuardedCell {
+ public:
+  template <typename U>
+  void put(U&& value, const char* /*site*/ = nullptr) {
+    value_ = std::forward<U>(value);
+  }
+  [[nodiscard]] const T& get(const char* /*site*/ = nullptr) const noexcept {
+    return value_;
+  }
+  void move_to(T& out, const char* /*site*/ = nullptr) {
+    out = std::move(value_);
+  }
+
+ private:
+  T value_{};
+};
+
+// The cells a node or queue pairs with its counted word `Word`: the types
+// above and port::Atomic, unless the word's header specializes these (the
+// simulator's word does).
 template <typename T, typename Word>
 struct CellFor {
   using type = ValueCell<T>;
 };
 template <typename T, typename Word>
 using CellOf = typename CellFor<T, Word>::type;
+
+template <typename T, typename Word>
+struct GuardedFor {
+  using type = GuardedCell<T>;
+};
+template <typename T, typename Word>
+using GuardedOf = typename GuardedFor<T, Word>::type;
+
+template <typename T, typename Word>
+struct AtomicFor {
+  using type = port::Atomic<T>;
+};
+template <typename T, typename Word>
+using AtomicOf = typename AtomicFor<T, Word>::type;
 
 }  // namespace msq::mem

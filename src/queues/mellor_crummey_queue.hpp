@@ -47,8 +47,14 @@
 
 namespace msq::queues {
 
-template <typename T, typename BackoffPolicy = sync::Backoff>
+/// `Word` is the counted word of Head, Tail and every link, as in MsQueue;
+/// each access passes its site name (sim/mo_table.hpp), so the simulator
+/// runs this code over sim::SimWord (sim/shipped.hpp).
+template <typename T, typename BackoffPolicy = sync::Backoff,
+          typename Word = tagged::AtomicTagged>
 class MellorCrummeyQueue {
+  using Link = tagged::ValueOf<Word>;
+
  public:
   using value_type = T;
   static constexpr QueueTraits traits{
@@ -61,9 +67,9 @@ class MellorCrummeyQueue {
   explicit MellorCrummeyQueue(std::uint32_t capacity)
       : pool_(capacity + 1), freelist_(pool_) {
     const std::uint32_t dummy = freelist_.try_allocate();
-    pool_[dummy].next.store(tagged::TaggedIndex{}, std::memory_order_release);
-    head_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
-    tail_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
+    pool_[dummy].next.store(Link{}, std::memory_order_release);
+    head_.value.store(Link(dummy, 0), std::memory_order_release);
+    tail_.value.store(Link(dummy, 0), std::memory_order_release);
   }
 
   MellorCrummeyQueue(const MellorCrummeyQueue&) = delete;
@@ -74,14 +80,15 @@ class MellorCrummeyQueue {
   bool try_enqueue(T value) noexcept {
     const std::uint32_t node = freelist_.try_allocate();
     if (node == tagged::kNullIndex) return false;
-    pool_[node].value.put(value);
-    pool_[node].next.store(tagged::TaggedIndex{}, std::memory_order_release);
+    pool_[node].value.put(value, "mc.value_write");
+    pool_[node].next.store(Link{}, std::memory_order_release, "mc.next_init");
     // fetch_and_store: swing Tail to the new node, learn the predecessor.
-    const tagged::TaggedIndex prev =
-        tail_.value.exchange(tagged::TaggedIndex(node, 0), std::memory_order_acq_rel);
+    const Link prev = tail_.value.exchange(
+        Link(node, 0), std::memory_order_acq_rel, "mc.tail_swap");
     // modify: link the predecessor.  A stall HERE is the blocking window.
     MSQ_PROBE("mc.link");
-    pool_[prev.index()].next.store(tagged::TaggedIndex(node, 0), std::memory_order_release);
+    pool_[prev.index()].next.store(Link(node, 0), std::memory_order_release,
+                                   "mc.link_store");
     MSQ_COUNT(kEnqueue);
     return true;
   }
@@ -91,11 +98,16 @@ class MellorCrummeyQueue {
   bool try_dequeue(T& out) noexcept {
     BackoffPolicy backoff;
     for (;;) {
-      const tagged::TaggedIndex head = head_.value.load(std::memory_order_acquire);
-      const tagged::TaggedIndex next = pool_[head.index()].next.load(std::memory_order_acquire);
+      const Link head =
+          head_.value.load(std::memory_order_acquire, "mc.head_load");
+      const Link next = pool_[head.index()].next.load(
+          std::memory_order_acquire, "mc.next_load");
       if (next.is_null()) {
-        const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);
-        if (tail.index() == head.index() && head == head_.value.load(std::memory_order_acquire)) {
+        const Link tail =
+            tail_.value.load(std::memory_order_acquire, "mc.tail_load");
+        if (tail.index() == head.index() &&
+            head == head_.value.load(std::memory_order_acquire,
+                                     "mc.head_reload")) {
           MSQ_COUNT(kDequeueEmpty);
           return false;  // genuinely empty
         }
@@ -107,9 +119,11 @@ class MellorCrummeyQueue {
         continue;
       }
       // Read value before the CAS (another dequeuer might free `next`).
-      const T value = pool_[next.index()].value.get();
+      const T value = pool_[next.index()].value.get("mc.value_read");
       MSQ_COUNT(kCasAttempt);
-      if (head_.value.compare_and_swap(head, head.successor(next.index()), std::memory_order_acq_rel)) {
+      if (head_.value.compare_and_swap(head, head.successor(next.index()),
+                                       std::memory_order_acq_rel,
+                                       "mc.head_cas")) {
         out = value;
         freelist_.free(head.index());
         MSQ_COUNT(kDequeue);
@@ -126,16 +140,28 @@ class MellorCrummeyQueue {
     return std::nullopt;
   }
 
+  /// Head, Tail and the link out of node `index` (racy snapshots; for
+  /// structural checks between simulator steps).
+  [[nodiscard]] Link unsafe_head() const noexcept {
+    return head_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_tail() const noexcept {
+    return tail_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_next(std::uint32_t index) const noexcept {
+    return pool_[index].next.load(std::memory_order_acquire);
+  }
+
  private:
   struct Node {
-    mem::ValueCell<T> value;
-    tagged::AtomicTagged next;
+    mem::CellOf<T, Word> value;
+    Word next;
   };
 
   mem::NodePool<Node> pool_;
   mem::FreeList<Node> freelist_;
-  port::CacheAligned<tagged::AtomicTagged> head_;
-  port::CacheAligned<tagged::AtomicTagged> tail_;
+  port::CacheAligned<Word> head_;
+  port::CacheAligned<Word> tail_;
 };
 
 }  // namespace msq::queues

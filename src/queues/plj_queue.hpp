@@ -26,7 +26,7 @@
 #include "mem/freelist.hpp"
 #include "mem/node_pool.hpp"
 #include "mem/value_cell.hpp"
-#include "obs/counters.hpp"
+#include "obs/probe.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
 #include "sync/backoff.hpp"
@@ -35,8 +35,14 @@
 
 namespace msq::queues {
 
-template <typename T, typename BackoffPolicy = sync::Backoff>
+/// `Word` is the counted word of Head, Tail and every link, as in MsQueue;
+/// each access passes its site name (sim/mo_table.hpp), so the simulator
+/// runs this code over sim::SimWord (sim/shipped.hpp).
+template <typename T, typename BackoffPolicy = sync::Backoff,
+          typename Word = tagged::AtomicTagged>
 class PljQueue {
+  using Link = tagged::ValueOf<Word>;
+
  public:
   using value_type = T;
   static constexpr QueueTraits traits{
@@ -49,9 +55,9 @@ class PljQueue {
   explicit PljQueue(std::uint32_t capacity)
       : pool_(capacity + 1), freelist_(pool_) {
     const std::uint32_t dummy = freelist_.try_allocate();
-    pool_[dummy].next.store(tagged::TaggedIndex{}, std::memory_order_release);
-    head_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
-    tail_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
+    pool_[dummy].next.store(Link{}, std::memory_order_release);
+    head_.value.store(Link(dummy, 0), std::memory_order_release);
+    tail_.value.store(Link(dummy, 0), std::memory_order_release);
   }
 
   PljQueue(const PljQueue&) = delete;
@@ -60,8 +66,16 @@ class PljQueue {
   bool try_enqueue(T value) noexcept {
     const std::uint32_t node = freelist_.try_allocate();
     if (node == tagged::kNullIndex) return false;
-    pool_[node].value.put(value);
-    pool_[node].next.store(tagged::TaggedIndex{}, std::memory_order_release);
+    pool_[node].value.put(value, "plj.value_write");
+    // The null link is COUNTED, as in MsQueue's E3: bumping the node's own
+    // count keeps it monotone across recycles.  A reset to 0 lets a stale
+    // link CAS -- one whose snapshot saw this node as Tail in an earlier
+    // life -- land on it while its new enqueuer has not linked it yet; the
+    // stale item then trails a node outside the queue and is overtaken.
+    const Link stale =
+        pool_[node].next.load(std::memory_order_acquire, "plj.next_count");
+    pool_[node].next.store(Link(tagged::kNullIndex, stale.count() + 1),
+                           std::memory_order_release, "plj.next_init");
 
     BackoffPolicy backoff;
     for (;;) {
@@ -70,13 +84,18 @@ class PljQueue {
         // The snapshot exposed a lagging Tail: complete the slower
         // process's operation (helping), then retry.
         tail_.value.compare_and_swap(
-            snap.tail, snap.tail.successor(snap.tail_next.index()), std::memory_order_acq_rel);
+            snap.tail, snap.tail.successor(snap.tail_next.index()),
+            std::memory_order_acq_rel, "plj.enq_tail_help");
         continue;
       }
+      MSQ_PROBE("plj.link");  // holding a snapshot of Tail and Tail->next
       MSQ_COUNT(kCasAttempt);
       if (pool_[snap.tail.index()].next.compare_and_swap(
-              snap.tail_next, snap.tail_next.successor(node), std::memory_order_acq_rel)) {
-        tail_.value.compare_and_swap(snap.tail, snap.tail.successor(node), std::memory_order_acq_rel);
+              snap.tail_next, snap.tail_next.successor(node),
+              std::memory_order_acq_rel, "plj.link_cas")) {
+        tail_.value.compare_and_swap(snap.tail, snap.tail.successor(node),
+                                     std::memory_order_acq_rel,
+                                     "plj.tail_swing");
         MSQ_COUNT(kEnqueue);
         return true;
       }
@@ -89,8 +108,12 @@ class PljQueue {
     BackoffPolicy backoff;
     for (;;) {
       const Snapshot snap = take_snapshot();
-      const tagged::TaggedIndex first = pool_[snap.head.index()].next.load(std::memory_order_acquire);
-      if (snap.head != head_.value.load(std::memory_order_acquire)) continue;  // snapshot went stale
+      const Link first = pool_[snap.head.index()].next.load(
+          std::memory_order_acquire, "plj.first_load");
+      if (snap.head != head_.value.load(std::memory_order_acquire,
+                                        "plj.head_check")) {
+        continue;  // snapshot went stale
+      }
       if (snap.head.index() == snap.tail.index()) {
         if (first.is_null()) {
           MSQ_COUNT(kDequeueEmpty);
@@ -99,15 +122,19 @@ class PljQueue {
         // State: tail lagging on a non-empty queue; help before touching
         // Head, so Tail can never point at a dequeued node.
         tail_.value.compare_and_swap(snap.tail,
-                                     snap.tail.successor(first.index()), std::memory_order_acq_rel);
+                                     snap.tail.successor(first.index()),
+                                     std::memory_order_acq_rel,
+                                     "plj.deq_tail_help");
         continue;
       }
       if (first.is_null()) continue;  // stale triple; cannot happen if the
                                       // snapshot invariants hold, but cheap
-      const T value = pool_[first.index()].value.get();
+      const T value = pool_[first.index()].value.get("plj.value_read");
       MSQ_COUNT(kCasAttempt);
       if (head_.value.compare_and_swap(snap.head,
-                                       snap.head.successor(first.index()), std::memory_order_acq_rel)) {
+                                       snap.head.successor(first.index()),
+                                       std::memory_order_acq_rel,
+                                       "plj.head_cas")) {
         out = value;
         freelist_.free(snap.head.index());
         MSQ_COUNT(kDequeue);
@@ -124,26 +151,44 @@ class PljQueue {
     return std::nullopt;
   }
 
+  /// Head, Tail and the link out of node `index` (racy snapshots; for
+  /// structural checks between simulator steps).
+  [[nodiscard]] Link unsafe_head() const noexcept {
+    return head_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_tail() const noexcept {
+    return tail_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_next(std::uint32_t index) const noexcept {
+    return pool_[index].next.load(std::memory_order_acquire);
+  }
+
  private:
   struct Node {
-    mem::ValueCell<T> value;
-    tagged::AtomicTagged next;
+    mem::CellOf<T, Word> value;
+    Word next;
   };
 
   struct Snapshot {
-    tagged::TaggedIndex head;
-    tagged::TaggedIndex tail;
-    tagged::TaggedIndex tail_next;
+    Link head;
+    Link tail;
+    Link tail_next;
   };
 
   /// PLJ's distinguishing step: a validated snapshot of Head, Tail and
   /// Tail->next -- two shared variables re-checked (vs. the MS queue's one).
   [[nodiscard]] Snapshot take_snapshot() const noexcept {
     for (;;) {
-      const tagged::TaggedIndex head = head_.value.load(std::memory_order_acquire);
-      const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);
-      const tagged::TaggedIndex tail_next = pool_[tail.index()].next.load(std::memory_order_acquire);
-      if (head == head_.value.load(std::memory_order_acquire) && tail == tail_.value.load(std::memory_order_acquire)) {
+      const Link head =
+          head_.value.load(std::memory_order_acquire, "plj.snap_head");
+      const Link tail =
+          tail_.value.load(std::memory_order_acquire, "plj.snap_tail");
+      const Link tail_next = pool_[tail.index()].next.load(
+          std::memory_order_acquire, "plj.snap_next");
+      if (head == head_.value.load(std::memory_order_acquire,
+                                   "plj.snap_head_check") &&
+          tail == tail_.value.load(std::memory_order_acquire,
+                                   "plj.snap_tail_check")) {
         return Snapshot{head, tail, tail_next};
       }
       port::cpu_relax();
@@ -152,8 +197,8 @@ class PljQueue {
 
   mem::NodePool<Node> pool_;
   mem::FreeList<Node> freelist_;
-  port::CacheAligned<tagged::AtomicTagged> head_;
-  port::CacheAligned<tagged::AtomicTagged> tail_;
+  port::CacheAligned<Word> head_;
+  port::CacheAligned<Word> tail_;
 };
 
 }  // namespace msq::queues

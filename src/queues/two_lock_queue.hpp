@@ -22,6 +22,7 @@
 
 #include "mem/freelist.hpp"
 #include "mem/node_pool.hpp"
+#include "mem/value_cell.hpp"
 #include "obs/probe.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
@@ -31,8 +32,16 @@
 
 namespace msq::queues {
 
-template <typename T, typename Lock = sync::TatasLock>
+/// `Word` is the counted word of the links (the free list's and the
+/// queue's); it also selects the cell of every lock-guarded field
+/// (mem::GuardedOf), so the simulator runs this code over its own words
+/// (sim/shipped.hpp).  Each access passes its site name, numbered after
+/// Figure 2's lines.
+template <typename T, typename Lock = sync::TatasLock,
+          typename Word = tagged::AtomicTagged>
 class TwoLockQueue {
+  using Link = tagged::ValueOf<Word>;
+
  public:
   using value_type = T;
   static constexpr QueueTraits traits{
@@ -47,9 +56,9 @@ class TwoLockQueue {
     // initialize(Q): node = new_node(); node->next = NULL;
     //                Q->Head = Q->Tail = node; locks free
     const std::uint32_t dummy = freelist_.try_allocate();
-    pool_[dummy].next.store(tagged::TaggedIndex{}, std::memory_order_release);
-    head_.value = dummy;
-    tail_.value = dummy;
+    pool_[dummy].next.store(Link{}, std::memory_order_release);
+    head_.value.put(dummy);
+    tail_.value.put(dummy);
   }
 
   TwoLockQueue(const TwoLockQueue&) = delete;
@@ -61,15 +70,18 @@ class TwoLockQueue {
     //  lock-free so this cannot deadlock with a dequeuer freeing)
     const std::uint32_t node = freelist_.try_allocate();
     if (node == tagged::kNullIndex) return false;
-    pool_[node].value = std::move(value);
-    pool_[node].next.store(tagged::TaggedIndex{}, std::memory_order_release);
+    pool_[node].value.put(std::move(value), "twolock.E2.value_write");
+    pool_[node].next.store(Link{}, std::memory_order_release,
+                           "twolock.E3.next_init");
 
     {
       std::scoped_lock guard(tail_lock_.value);       // lock(&Q->T_lock)
       MSQ_PROBE("twolock.T_held");  // a thread halted here wedges enqueuers
-      pool_[tail_.value].next.store(                  // Q->Tail->next = node
-          tagged::TaggedIndex(node, 0), std::memory_order_release);
-      tail_.value = node;                             // Q->Tail = node
+      const std::uint32_t tail = tail_.value.get("twolock.E5.tail_read");
+      pool_[tail].next.store(Link(node, 0),           // Q->Tail->next = node
+                             std::memory_order_release,
+                             "twolock.E5.link_write");
+      tail_.value.put(node, "twolock.E6.tail_write"); // Q->Tail = node
     }                                                 // unlock(&Q->T_lock)
     MSQ_COUNT(kEnqueue);
     return true;
@@ -80,15 +92,18 @@ class TwoLockQueue {
     {
       std::scoped_lock guard(head_lock_.value);       // lock(&Q->H_lock)
       MSQ_PROBE("twolock.H_held");  // a thread halted here wedges dequeuers
-      old_dummy = head_.value;                        // node = Q->Head
-      const tagged::TaggedIndex new_head =
-          pool_[old_dummy].next.load(std::memory_order_acquire);               // new_head = node->next
+      old_dummy = head_.value.get("twolock.D2.head_read");  // node = Q->Head
+      const Link new_head =                           // new_head = node->next
+          pool_[old_dummy].next.load(std::memory_order_acquire,
+                                     "twolock.D3.next_read");
       if (new_head.is_null()) {                       // is queue empty?
         MSQ_COUNT(kDequeueEmpty);
         return false;                                 // unlock via RAII
       }
-      out = std::move(pool_[new_head.index()].value); // *pvalue = new_head->value
-      head_.value = new_head.index();                 // Q->Head = new_head
+      pool_[new_head.index()].value.move_to(          // *pvalue = new_head->value
+          out, "twolock.D8.value_read");
+      head_.value.put(new_head.index(),               // Q->Head = new_head
+                      "twolock.D9.head_write");
     }                                                 // unlock(&Q->H_lock)
     freelist_.free(old_dummy);                        // free(node)
     MSQ_COUNT(kDequeue);
@@ -101,10 +116,18 @@ class TwoLockQueue {
     return std::nullopt;
   }
 
+  /// Head, Tail and the link out of node `index` (racy snapshots; for
+  /// structural checks between simulator steps).
+  [[nodiscard]] std::uint32_t unsafe_head() const { return head_.value.get(); }
+  [[nodiscard]] std::uint32_t unsafe_tail() const { return tail_.value.get(); }
+  [[nodiscard]] Link unsafe_next(std::uint32_t index) const noexcept {
+    return pool_[index].next.load(std::memory_order_acquire);
+  }
+
  private:
   struct Node {
-    T value{};
-    tagged::AtomicTagged next;
+    mem::GuardedOf<T, Word> value;
+    Word next;
   };
 
   mem::NodePool<Node> pool_;
@@ -112,8 +135,8 @@ class TwoLockQueue {
   // Each lock lives with the pointer it guards, on its own cache line, so
   // enqueuers and dequeuers touch disjoint lines (the whole point of the
   // algorithm).
-  port::CacheAligned<std::uint32_t> head_;   // guarded by head_lock_
-  port::CacheAligned<std::uint32_t> tail_;   // guarded by tail_lock_
+  port::CacheAligned<mem::GuardedOf<std::uint32_t, Word>> head_;  // head_lock_
+  port::CacheAligned<mem::GuardedOf<std::uint32_t, Word>> tail_;  // tail_lock_
   port::CacheAligned<Lock> head_lock_;
   port::CacheAligned<Lock> tail_lock_;
 };

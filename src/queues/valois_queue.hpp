@@ -37,8 +37,14 @@
 
 namespace msq::queues {
 
-template <typename T, typename BackoffPolicy = sync::Backoff>
+/// `Word` is the counted word of Head, Tail and every link, as in MsQueue;
+/// each access passes its site name (sim/mo_table.hpp), so the simulator
+/// runs this code, pool included, over its own words (sim/shipped.hpp).
+template <typename T, typename BackoffPolicy = sync::Backoff,
+          typename Word = tagged::AtomicTagged>
 class ValoisQueue {
+  using Link = tagged::ValueOf<Word>;
+
  public:
   using value_type = T;
   static constexpr QueueTraits traits{
@@ -52,8 +58,8 @@ class ValoisQueue {
     const std::uint32_t dummy = pool_.try_allocate();  // count 1 (ours)
     pool_.add_reference(dummy);  // Head's link
     pool_.add_reference(dummy);  // Tail's link
-    head_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
-    tail_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
+    head_.value.store(Link(dummy, 0), std::memory_order_release);
+    tail_.value.store(Link(dummy, 0), std::memory_order_release);
     pool_.release(dummy);  // drop the allocation reference
   }
 
@@ -65,8 +71,8 @@ class ValoisQueue {
     T sink;
     while (try_dequeue(sink)) {
     }
-    const tagged::TaggedIndex head = head_.value.load(std::memory_order_acquire);
-    const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);
+    const Link head = head_.value.load(std::memory_order_acquire);
+    const Link tail = tail_.value.load(std::memory_order_acquire);
     pool_.release(tail.index());  // Tail's link (possibly a lagging node)
     pool_.release(head.index());  // Head's link (the final dummy)
   }
@@ -77,12 +83,13 @@ class ValoisQueue {
   bool try_enqueue(T value) noexcept {
     const std::uint32_t node = pool_.try_allocate();  // count 1 (ours)
     if (node == tagged::kNullIndex) return false;
-    pool_.node(node).value.put(value);
+    pool_.node(node).value.put(value, "valois.init_value");
 
     BackoffPolicy backoff;
     for (;;) {
-      const tagged::TaggedIndex tail = pool_.safe_read(tail_.value);
-      const tagged::TaggedIndex next = pool_.node(tail.index()).rc.next.load(std::memory_order_acquire);
+      const Link tail = pool_.safe_read(tail_.value);
+      const Link next = pool_.node(tail.index()).rc.next.load(
+          std::memory_order_acquire, "valois.next_read");
       if (next.is_null()) {
         MSQ_COUNT(kCasAttempt);
         if (rc_cas(pool_.node(tail.index()).rc.next, next, node)) {
@@ -109,9 +116,8 @@ class ValoisQueue {
   bool try_dequeue(T& out) noexcept {
     BackoffPolicy backoff;
     for (;;) {
-      const tagged::TaggedIndex head = pool_.safe_read(head_.value);
-      const tagged::TaggedIndex first =
-          pool_.safe_read(pool_.node(head.index()).rc.next);
+      const Link head = pool_.safe_read(head_.value);
+      const Link first = pool_.safe_read(pool_.node(head.index()).rc.next);
       if (first.is_null()) {
         pool_.release(head.index());
         MSQ_COUNT(kDequeueEmpty);
@@ -121,7 +127,7 @@ class ValoisQueue {
       if (rc_cas(head_.value, head, first.index())) {
         // We hold a SafeRead reference on `first`, so its value is stable
         // even though it is now the dummy and other dequeues proceed.
-        out = pool_.node(first.index()).value.get();
+        out = pool_.node(first.index()).value.get("valois.value_read");
         pool_.release(head.index());   // SafeRead ref; may trigger reclaim
         pool_.release(first.index());  // SafeRead ref
         MSQ_COUNT(kDequeue);
@@ -141,8 +147,8 @@ class ValoisQueue {
   }
 
   struct Node {
-    mem::ValueCell<T> value;
-    mem::RcHeader rc;
+    mem::CellOf<T, Word> value;
+    mem::BasicRcHeader<Word> rc;
   };
 
   /// Nodes currently in the free list (racy; exhaustion experiment).
@@ -150,12 +156,25 @@ class ValoisQueue {
     return pool_.unsafe_free_count();
   }
 
+  /// Head, Tail and the link out of node `index` (racy snapshots; for
+  /// structural checks between simulator steps).
+  [[nodiscard]] Link unsafe_head() const noexcept {
+    return head_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_tail() const noexcept {
+    return tail_.value.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] Link unsafe_next(std::uint32_t index) const noexcept {
+    return pool_.node(index).rc.next.load(std::memory_order_acquire);
+  }
+
   /// Pool handle for tests that need to hold references like a "delayed
   /// process" (the exhaustion scenario).
   [[nodiscard]] mem::RefCountPool<Node>& pool() noexcept { return pool_; }
-  [[nodiscard]] const tagged::AtomicTagged& head_cell() const noexcept {
-    return head_.value;
+  [[nodiscard]] const mem::RefCountPool<Node>& pool() const noexcept {
+    return pool_;
   }
+  [[nodiscard]] const Word& head_cell() const noexcept { return head_.value; }
 
   /// Bytes of one pool node (bench/fig_memory: peak_nodes x node_bytes).
   [[nodiscard]] static constexpr std::size_t node_bytes() noexcept {
@@ -167,10 +186,10 @@ class ValoisQueue {
   /// target's reference is taken before the CAS and returned on failure;
   /// the old target's reference is dropped on success (CopyRef/Release
   /// discipline of the corrected Valois scheme).
-  bool rc_cas(tagged::AtomicTagged& cell, tagged::TaggedIndex expected,
-              std::uint32_t new_index) noexcept {
+  bool rc_cas(Word& cell, Link expected, std::uint32_t new_index) noexcept {
     pool_.add_reference(new_index);
-    if (cell.compare_and_swap(expected, expected.successor(new_index), std::memory_order_acq_rel)) {
+    if (cell.compare_and_swap(expected, expected.successor(new_index),
+                              std::memory_order_acq_rel, "valois.link_cas")) {
       if (!expected.is_null()) pool_.release(expected.index());
       return true;
     }
@@ -179,8 +198,8 @@ class ValoisQueue {
   }
 
   mem::RefCountPool<Node> pool_;
-  port::CacheAligned<tagged::AtomicTagged> head_;
-  port::CacheAligned<tagged::AtomicTagged> tail_;
+  port::CacheAligned<Word> head_;
+  port::CacheAligned<Word> tail_;
 };
 
 }  // namespace msq::queues

@@ -2,14 +2,14 @@
 // of its order is load-bearing -- the part that makes the orders PROVABLE
 // -- and, for the hand-written sim models, which MemOrder they use.
 //
-// The ms.* and fl.* sites are accesses of the shipped code itself
-// (queues/ms_queue.hpp, mem/freelist.hpp), which passes each site's name
-// next to its std::memory_order; the simulator runs that code over
-// sim/shipped.hpp's words, so those rows declare no order of their own:
-// the order is whatever the shipped line passes.  The other sites name one
-// access in a sim model (sim/valois_queue_sim.hpp, sim/sim_lock.hpp,
-// sim/scq_ring_sim.hpp, or the litmus worlds in
-// tools/mo_mutation_sweep.cpp).  The mutation sweep
+// The ms.*, fl.*, lock.* and valois.* sites are accesses of the shipped
+// code itself (queues/ms_queue.hpp, mem/freelist.hpp, sync/tatas_lock.hpp,
+// queues/valois_queue.hpp + mem/refcount_pool.hpp), which passes each
+// site's name next to its std::memory_order; the simulator runs that code
+// over sim/shipped.hpp's words, so those rows declare no order of their
+// own: the order is whatever the shipped line passes.  The other sites
+// name one access in a sim model (sim/scq_ring_sim.hpp, or the litmus
+// worlds in tools/mo_mutation_sweep.cpp).  The mutation sweep
 // weakens each site one notch at a time and asserts the explorer's verdict
 // matches the site's needs_* flags:
 //
@@ -27,8 +27,8 @@
 //
 // tools/atomics_lint.py parses this table (the MSQ_MO_SITE rows) to
 // validate `proof: mo-sweep:<site>` references in the real sources and to
-// check that every ms.*/fl.* site is named on exactly one shipped line, so
-// site names are part of the repo's lint contract: rename with care.
+// check that every shipped-code site is named on exactly one shipped line,
+// so site names are part of the repo's lint contract: rename with care.
 #pragma once
 
 #include <cassert>
@@ -169,65 +169,75 @@ inline constexpr MoSite kMoSites[] = {
                 "push_link's release already does too (the popper reads "
                 "the node's next word with acquire): mutually masked pair"),
 
-    // --- TATAS lock (sim/sim_lock.hpp; real: sync/tatas_lock.hpp) -------
-    MSQ_MO_SITE("lock.spin_load", MoKind::kLoad, check::MemOrder::kRelaxed,
+    // --- TATAS lock (sync/tatas_lock.hpp) ------------------------------
+    MSQ_MO_SITE("lock.spin_load", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "test-and-test-and-set spin: value is advisory, the CAS "
                 "decides; plain demotion races with the unlock store"),
-    MSQ_MO_SITE("lock.acquire_cas", MoKind::kRmw, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("lock.acquire_cas", MoKind::kRmw, kShipped,
                 true, false, false, false,
-                "the lock acquire: joins the previous holder's unlock "
+                "the lock acquire (the test-and-set exchange): joins the previous holder's unlock "
                 "release; without it the critical section's plain data is "
                 "unordered"),
-    MSQ_MO_SITE("lock.unlock_store", MoKind::kStore, check::MemOrder::kRelease,
+    MSQ_MO_SITE("lock.unlock_store", MoKind::kStore, kShipped,
                 false, true, true, false,
                 "the lock release: publishes the critical section.  Its "
                 "loss is invisible to SC value checks (mutual exclusion "
                 "still holds) -- caught only by the order-aware explorer"),
 
-    // --- Valois queue (sim/valois_queue_sim.hpp; real: "
-    //     queues/valois_queue.hpp + mem/refcount_pool.hpp) ---------------
-    MSQ_MO_SITE("valois.init_value", MoKind::kStore, check::MemOrder::kRelaxed,
+    // --- Valois queue (queues/valois_queue.hpp + mem/refcount_pool.hpp) --
+    MSQ_MO_SITE("valois.init_value", MoKind::kStore, kShipped,
                 false, false, false, false,
                 "pre-publication write: ordering rides link_cas, and the "
                 "refcount pins prevent the recycled-node stale reads that "
                 "make atomicity load-bearing in the tag-based models"),
-    MSQ_MO_SITE("valois.init_next", MoKind::kStore, check::MemOrder::kRelease,
+    MSQ_MO_SITE("valois.init_next", MoKind::kStore, kShipped,
                 false, false, false, false,
                 "counted null init; masked like ms.E3, and pin-protected "
                 "like valois.init_value"),
-    MSQ_MO_SITE("valois.ptr_read", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("valois.ptr_read", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "SafeRead's load of a shared pointer cell.  Its acquire is "
                 "masked by the protocol's own acq_rel refcount FAAs (every "
                 "reader bumps a count the writer also bumped after its "
                 "payload write); atomicity is load-bearing: a plain read "
                 "races with the concurrent link CAS"),
-    MSQ_MO_SITE("valois.ptr_reread", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("valois.ptr_reread", MoKind::kLoad, kShipped,
                 false, false, true, false,
                 "SafeRead revalidation; compared, not dereferenced"),
-    MSQ_MO_SITE("valois.refct_faa", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("valois.next_read", MoKind::kLoad, kShipped,
+                false, false, false, false,
+                "enqueue's read of Tail->next under the SafeRead pin on "
+                "Tail, ordered like valois.ptr_read.  Only another "
+                "enqueuer's link CAS writes that word, and worlds F/V have "
+                "one producer, so even the plain demotion is silent there"),
+    MSQ_MO_SITE("valois.refct_faa", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "CopyRef/SafeRead count bump; individually redundant with "
                 "the pointer-cell acquires and the Release CAS (the sweep "
                 "proves each single weakening silent), jointly the mesh "
                 "that masks the queue-level edges"),
-    MSQ_MO_SITE("valois.refct_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("valois.refct_load", MoKind::kLoad, kShipped,
+                false, false, true, false,
+                "Release's optimistic first read of the count; the CAS "
+                "validates and orders, but a plain read races with "
+                "concurrent SafeRead/CopyRef increments"),
+    MSQ_MO_SITE("valois.refct_cas", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "DecrementAndTestAndSet: the reclaim hand-off it guards is "
                 "republished by the pool's push/pop CASes, so no single "
                 "weakening is observable"),
-    MSQ_MO_SITE("valois.link_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
+    MSQ_MO_SITE("valois.link_cas", MoKind::kRmw, kShipped,
                 false, false, false, false,
                 "the publication CAS (enqueue link / head+tail swings); "
                 "its release is masked by the acq_rel refcount mesh -- see "
                 "valois.ptr_read"),
-    MSQ_MO_SITE("valois.value_read", MoKind::kLoad, check::MemOrder::kRelaxed,
+    MSQ_MO_SITE("valois.value_read", MoKind::kLoad, kShipped,
                 false, false, false, false,
                 "read under refcount pin: unlike ms.D11 the pin prevents "
                 "recycling, so even the plain demotion stays ordered "
                 "through the refcount mesh"),
-    MSQ_MO_SITE("valois.reclaim_next", MoKind::kLoad, check::MemOrder::kAcquire,
+    MSQ_MO_SITE("valois.reclaim_next", MoKind::kLoad, kShipped,
                 false, false, false, false,
                 "sole-owner read of a dead node's link during the "
                 "reclamation cascade; ordered through refct_cas + the "

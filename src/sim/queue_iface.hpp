@@ -20,7 +20,6 @@ class SimQueue {
   virtual bool enqueue(Proc& p, std::uint64_t value) = 0;
   /// kEmpty iff the queue was observed empty.
   virtual std::uint64_t dequeue(Proc& p) = 0;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// Walk the structure between steps and abort-with-message on a broken
   /// safety invariant (paper section 3.1).  Default: no structural check.

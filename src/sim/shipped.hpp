@@ -1,14 +1,17 @@
-// The shipped Figure 1 under the simulator.  SimWord and SimCell have the
-// interfaces of tagged::AtomicTagged and mem::ValueCell, but each call is
-// one engine step on a SimMemory word, in the std::memory_order the
-// shipped line passes and labelled with the site name it passes
-// (sim/mo_table.hpp).  Instantiated over them, queues::MsQueue and
-// mem::FreeList run unchanged, so DPOR, the liveness tests and the
-// memory-order sweep check the code that ships.  Freeze labels, race
-// reports and sweep overrides all speak the same site names.
+// The shipped queues under the simulator.  SimWord, SimCell and SimAtomic
+// have the interfaces of tagged::AtomicTagged, mem::ValueCell /
+// mem::GuardedCell and port::Atomic, but each call is one engine step on a
+// SimMemory word, in the order the shipped line passes (a guarded cell's
+// is plain) and labelled with the site name it passes (sim/mo_table.hpp).
+// Instantiated over them, the six queues of the paper's evaluation, their
+// free lists and the TATAS lock run unchanged, so DPOR, the liveness and
+// crash tests, the figure runs and the memory-order sweep check the code
+// that ships.  Freeze labels, race reports and sweep overrides all speak
+// the same site names.
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -18,10 +21,16 @@
 
 #include "mem/freelist.hpp"
 #include "mem/value_cell.hpp"
+#include "queues/mellor_crummey_queue.hpp"
 #include "queues/ms_queue.hpp"
+#include "queues/plj_queue.hpp"
+#include "queues/single_lock_queue.hpp"
+#include "queues/two_lock_queue.hpp"
+#include "queues/valois_queue.hpp"
 #include "sim/engine.hpp"
 #include "sim/mo_table.hpp"
 #include "sim/queue_iface.hpp"
+#include "sync/tatas_lock.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::sim {
@@ -44,8 +53,9 @@ struct SimBinding {
   Engine* engine = nullptr;
   const MoTable* overrides = nullptr;  // sweep: one site's order mutated
   double backoff_max = 1024;           // SimBackoffPolicy's window bound
-  // Test-only hook: store links at fl.push_link and ms.E3.next_init with
-  // count 0 -- the tag reset that FreeList::push and E3 exist to avoid.
+  // Test-only hook: store links at fl.push_link, ms.E3.next_init and
+  // plj.next_init with count 0 -- the tag reset that FreeList::push and the
+  // queues' counted null links exist to avoid.
   bool reset_link_tags = false;
   // When set, every named access records (site, order passed): the sweep
   // learns the orders it weakens from the code itself.
@@ -54,9 +64,7 @@ struct SimBinding {
   /// An engine step inside a process; a raw access outside one (queue
   /// construction, invariant checks between steps).
   std::uint64_t access(OpKind kind, Addr addr, std::uint64_t a,
-                       std::uint64_t b, std::memory_order order,
-                       const char* site) const {
-    MemOrder mo = to_mem_order(order);
+                       std::uint64_t b, MemOrder mo, const char* site) const {
     if (site != nullptr && seen != nullptr) note(site, mo);
     if (site != nullptr && overrides != nullptr) {
       if (const MemOrder* o = overrides->find(site)) mo = *o;
@@ -66,8 +74,12 @@ struct SimBinding {
     }
     std::uint64_t& w = engine->memory().word(addr);
     const std::uint64_t old = w;
-    if (kind == OpKind::kWrite || (kind == OpKind::kCas && w == a)) {
-      w = kind == OpKind::kWrite ? a : b;
+    switch (kind) {
+      case OpKind::kWrite:
+      case OpKind::kSwap: w = a; break;
+      case OpKind::kCas: if (w == a) w = b; break;
+      case OpKind::kFaa: w += a; break;
+      default: break;
     }
     return old;
   }
@@ -103,8 +115,12 @@ class SimSlot {
     binding_->engine->memory().word(addr_) = initial;
   }
   std::uint64_t access(OpKind kind, std::uint64_t a, std::uint64_t b,
-                       std::memory_order order, const char* site) const {
+                       MemOrder order, const char* site) const {
     return binding_->access(kind, addr_, a, b, order, site);
+  }
+  std::uint64_t access(OpKind kind, std::uint64_t a, std::uint64_t b,
+                       std::memory_order order, const char* site) const {
+    return access(kind, a, b, to_mem_order(order), site);
   }
 
   const SimBinding* binding_;
@@ -125,10 +141,17 @@ class SimWord : public SimSlot {
              const char* site = nullptr) {
     if (binding_->reset_link_tags && site != nullptr &&
         (std::strcmp(site, "fl.push_link") == 0 ||
-         std::strcmp(site, "ms.E3.next_init") == 0)) {
+         std::strcmp(site, "ms.E3.next_init") == 0 ||
+         std::strcmp(site, "plj.next_init") == 0)) {
       value = tagged::TaggedIndex(value.index(), 0);
     }
     access(OpKind::kWrite, value.bits(), 0, order, site);
+  }
+  tagged::TaggedIndex exchange(tagged::TaggedIndex desired,
+                               std::memory_order order,
+                               const char* site = nullptr) {
+    return tagged::TaggedIndex::from_bits(
+        access(OpKind::kSwap, desired.bits(), 0, order, site));
   }
   bool compare_and_swap(tagged::TaggedIndex expected,
                         tagged::TaggedIndex desired, std::memory_order order,
@@ -138,9 +161,10 @@ class SimWord : public SimSlot {
   }
 };
 
-/// mem::ValueCell's interface over one simulated word.  Relaxed, as there:
-/// the order is a property of the cell type, not of the call site.
-template <typename T>
+/// mem::ValueCell's (kOrder relaxed) or mem::GuardedCell's (kOrder plain)
+/// interface over one simulated word.  The order is a property of the cell
+/// type, not of the call site, as there.
+template <typename T, MemOrder kOrder>
 class SimCell : public SimSlot {
  public:
   SimCell() : SimSlot(0) {}
@@ -148,38 +172,86 @@ class SimCell : public SimSlot {
   void put(T value, const char* site = nullptr) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &value, sizeof(T));
-    // relaxed: mem::ValueCell::put's order, mirrored
-    access(OpKind::kWrite, bits, 0, std::memory_order_relaxed, site);
+    access(OpKind::kWrite, bits, 0, kOrder, site);
   }
   [[nodiscard]] T get(const char* site = nullptr) const {
-    // relaxed: mem::ValueCell::get's order, mirrored
-    const std::uint64_t bits =
-        access(OpKind::kRead, 0, 0, std::memory_order_relaxed, site);
+    const std::uint64_t bits = access(OpKind::kRead, 0, 0, kOrder, site);
     T value;
     std::memcpy(&value, &bits, sizeof(T));
     return value;
+  }
+  void move_to(T& out, const char* site = nullptr) { out = get(site); }
+};
+
+/// port::Atomic's interface over one simulated word.
+template <typename T>
+class SimAtomic : public SimSlot {
+ public:
+  SimAtomic() : SimSlot(0) {}
+
+  [[nodiscard]] T load(std::memory_order order,
+                       const char* site = nullptr) const {
+    return static_cast<T>(access(OpKind::kRead, 0, 0, order, site));
+  }
+  void store(T value, std::memory_order order, const char* site = nullptr) {
+    access(OpKind::kWrite, static_cast<std::uint64_t>(value), 0, order, site);
+  }
+  T exchange(T value, std::memory_order order, const char* site = nullptr) {
+    return static_cast<T>(access(OpKind::kSwap,
+                                 static_cast<std::uint64_t>(value), 0, order,
+                                 site));
+  }
+  T fetch_add(T delta, std::memory_order order, const char* site = nullptr) {
+    return static_cast<T>(access(OpKind::kFaa,
+                                 static_cast<std::uint64_t>(delta), 0, order,
+                                 site));
+  }
+  /// One CAS step in the success order (a simulated CAS never fails
+  /// spuriously; `failure` has no separate step to order).
+  bool compare_exchange_weak(T& expected, T desired, std::memory_order success,
+                             std::memory_order /*failure*/,
+                             const char* site = nullptr) {
+    const auto old = static_cast<T>(
+        access(OpKind::kCas, static_cast<std::uint64_t>(expected),
+               static_cast<std::uint64_t>(desired), success, site));
+    if (old == expected) return true;
+    expected = old;
+    return false;
   }
 };
 
 }  // namespace msq::sim
 
-// Nodes whose link is a SimWord keep their value in a SimCell.
+// Queues whose counted word is a SimWord keep every other cell in
+// simulated words too.
 template <typename T>
 struct msq::mem::CellFor<T, msq::sim::SimWord> {
-  using type = sim::SimCell<T>;
+  using type = sim::SimCell<T, sim::MemOrder::kRelaxed>;
+};
+template <typename T>
+struct msq::mem::GuardedFor<T, msq::sim::SimWord> {
+  using type = sim::SimCell<T, sim::MemOrder::kPlain>;
+};
+template <typename T>
+struct msq::mem::AtomicFor<T, msq::sim::SimWord> {
+  using type = sim::SimAtomic<T>;
 };
 
 namespace msq::sim {
 
-/// The shipped queue's BackoffPolicy under the simulator: SimBackoff's
-/// window, spent as work() steps.  Reads its bound from the binding the
-/// calling process entered the queue with (Proc::shielded).
+/// The shipped queues' BackoffPolicy under the simulator: SimBackoff's
+/// window, spent as work() steps -- after a failed CAS (pause) and on each
+/// turn of a lock's local spin (relax), so a waiter whose lock holder is
+/// descheduled for a quantum takes a bounded number of steps, not one per
+/// spin.  Reads its bound from the binding the calling process entered the
+/// queue with (Proc::shielded).
 class SimBackoffPolicy {
  public:
   SimBackoffPolicy() : backoff_(window_bound()) {}
   void pause() {
     if (Proc* p = Proc::current()) p->work(backoff_.next());
   }
+  void relax() { pause(); }
 
  private:
   [[nodiscard]] static double window_bound() noexcept {
@@ -191,20 +263,23 @@ class SimBackoffPolicy {
   SimBackoff backoff_;
 };
 
-/// queues::MsQueue itself, as a SimQueue.
-class ShippedMsQueue final : public SimQueue {
- public:
-  using Queue = queues::MsQueue<std::uint64_t, SimBackoffPolicy,
-                                mem::FreeList, SimWord>;
+/// The TATAS lock of both lock-based queues, over a simulated flag.
+using SimTatasLock = sync::BasicTatasLock<SimBackoffPolicy, SimAtomic<bool>>;
 
-  ShippedMsQueue(Engine& engine, std::uint32_t capacity,
-                 double backoff_max = 1024, const MoTable* mo = nullptr)
+/// A shipped queue as a SimQueue: its words bind to this adapter's binding
+/// at construction, and each operation runs the shipped try_enqueue /
+/// try_dequeue inside the calling process.  `kTailInList`: the structural
+/// check also requires Tail to be a node of Head's chain (not for MC, whose
+/// list splits mid-link, nor Valois, whose Tail may lag behind Head).
+template <typename Queue, bool kTailInList = true>
+class ShippedQueue final : public SimQueue {
+ public:
+  ShippedQueue(Engine& engine, std::uint32_t capacity,
+               double backoff_max = 1024, const MoTable* mo = nullptr)
       : binding_{&engine, mo, backoff_max}, capacity_(capacity) {
     const SimBinding::Scope scope(binding_);
     queue_.emplace(capacity);
   }
-
-  [[nodiscard]] const char* name() const noexcept override { return "MS"; }
 
   bool enqueue(Proc& p, std::uint64_t value) override {
     return p.shielded(&binding_, [&] { return queue_->try_enqueue(value); });
@@ -217,24 +292,31 @@ class ShippedMsQueue final : public SimQueue {
     });
   }
 
-  /// Paper section 3.1 safety properties, checked structurally:
-  ///  1. the linked list is always connected (head reaches NULL within
-  ///     capacity+1 hops -- no cycle, no dangling link);
-  ///  4. Head points at the first node (trivially, by representation);
-  ///  5. Tail points at a node IN the list.
+  /// Paper section 3.1 safety properties, checked structurally: the list
+  /// from Head reaches NULL within capacity+1 hops (connected, no cycle);
+  /// Tail points at a node in it; Valois's Head and Tail point at live
+  /// nodes.
   void check_invariants() const override {
-    const auto tail = queue_->unsafe_tail();
-    bool tail_in_list = false;
+    const std::uint32_t head = index_of(queue_->unsafe_head());
+    const std::uint32_t tail = index_of(queue_->unsafe_tail());
+    bool tail_seen = false;
     std::uint32_t hops = 0;
-    for (auto it = queue_->unsafe_head(); !it.is_null();
-         it = queue_->unsafe_next(it.index())) {
-      if (it.index() == tail.index()) tail_in_list = true;
+    for (std::uint32_t it = head; it != tagged::kNullIndex;
+         it = index_of(queue_->unsafe_next(it))) {
+      if (it == tail) tail_seen = true;
       if (++hops > capacity_ + 1) {
-        throw std::runtime_error("MS invariant: list not connected (cycle)");
+        throw std::runtime_error("invariant: list not connected (cycle)");
       }
     }
-    if (!tail_in_list) {
-      throw std::runtime_error("MS invariant: Tail not in the linked list");
+    if (kTailInList && !tail_seen) {
+      throw std::runtime_error("invariant: Tail not in the linked list");
+    }
+    if constexpr (requires { queue_->pool().unsafe_live(head); }) {
+      for (const std::uint32_t ptr : {head, tail}) {
+        if (!queue_->pool().unsafe_live(ptr)) {
+          throw std::runtime_error("invariant: live pointer to claimed node");
+        }
+      }
     }
   }
 
@@ -243,9 +325,34 @@ class ShippedMsQueue final : public SimQueue {
   [[nodiscard]] SimBinding& binding() noexcept { return binding_; }
 
  private:
+  template <typename L>
+  [[nodiscard]] static std::uint32_t index_of(const L& link) noexcept {
+    if constexpr (std::integral<L>) {
+      return link;
+    } else {
+      return link.index();
+    }
+  }
+
   SimBinding binding_;
   std::uint32_t capacity_;
-  std::optional<Queue> queue_;
+  std::optional<Queue> queue_;  // after binding_: destroyed before it
 };
+
+// The six algorithms of the paper's evaluation, as shipped.
+using ShippedMsQueue = ShippedQueue<
+    queues::MsQueue<std::uint64_t, SimBackoffPolicy, mem::FreeList, SimWord>>;
+using ShippedMcQueue = ShippedQueue<
+    queues::MellorCrummeyQueue<std::uint64_t, SimBackoffPolicy, SimWord>,
+    /*kTailInList=*/false>;
+using ShippedPljQueue =
+    ShippedQueue<queues::PljQueue<std::uint64_t, SimBackoffPolicy, SimWord>>;
+using ShippedValoisQueue = ShippedQueue<
+    queues::ValoisQueue<std::uint64_t, SimBackoffPolicy, SimWord>,
+    /*kTailInList=*/false>;
+using ShippedTwoLockQueue = ShippedQueue<
+    queues::TwoLockQueue<std::uint64_t, SimTatasLock, SimWord>>;
+using ShippedSingleLockQueue = ShippedQueue<
+    queues::SingleLockQueue<std::uint64_t, SimTatasLock, SimWord>>;
 
 }  // namespace msq::sim

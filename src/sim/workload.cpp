@@ -3,12 +3,7 @@
 #include <atomic>
 
 #include "check/invariants.hpp"
-#include "sim/mc_queue_sim.hpp"
 #include "sim/shipped.hpp"
-#include "sim/plj_queue_sim.hpp"
-#include "sim/single_lock_sim.hpp"
-#include "sim/two_lock_sim.hpp"
-#include "sim/valois_queue_sim.hpp"
 
 namespace msq::sim {
 
@@ -35,17 +30,23 @@ std::unique_ptr<SimQueue> make_sim_queue(Algo algo, Engine& engine,
                                          double backoff_max, const MoTable* mo) {
   switch (algo) {
     case Algo::kSingleLock:
-      return std::make_unique<SimSingleLockQueue>(engine, capacity, backoff_max);
+      return std::make_unique<ShippedSingleLockQueue>(engine, capacity,
+                                                      backoff_max, mo);
     case Algo::kMc:
-      return std::make_unique<SimMcQueue>(engine, capacity, backoff_max);
+      return std::make_unique<ShippedMcQueue>(engine, capacity, backoff_max,
+                                              mo);
     case Algo::kValois:
-      return std::make_unique<SimValoisQueue>(engine, capacity, backoff_max, mo);
+      return std::make_unique<ShippedValoisQueue>(engine, capacity,
+                                                  backoff_max, mo);
     case Algo::kTwoLock:
-      return std::make_unique<SimTwoLockQueue>(engine, capacity, backoff_max);
+      return std::make_unique<ShippedTwoLockQueue>(engine, capacity,
+                                                   backoff_max, mo);
     case Algo::kPlj:
-      return std::make_unique<SimPljQueue>(engine, capacity, backoff_max);
+      return std::make_unique<ShippedPljQueue>(engine, capacity, backoff_max,
+                                               mo);
     case Algo::kMs:
-      return std::make_unique<ShippedMsQueue>(engine, capacity, backoff_max, mo);
+      return std::make_unique<ShippedMsQueue>(engine, capacity, backoff_max,
+                                              mo);
   }
   return nullptr;
 }

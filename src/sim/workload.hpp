@@ -28,10 +28,10 @@ inline constexpr Algo kAllAlgos[] = {Algo::kSingleLock, Algo::kMc,
 
 [[nodiscard]] const char* algo_name(Algo algo) noexcept;
 
-/// Instantiate a simulated queue inside `engine`'s memory.  `backoff_max`
-/// bounds the exponential backoff window (0 disables backoff; ablation A2).
-/// `mo` overrides the annotated memory orders for the models that declare
-/// them (MS, Valois, and the lock/pool substrate) -- mutation sweeps only.
+/// Instantiate the shipped queue of `algo` (sim/shipped.hpp) inside
+/// `engine`'s memory.  `backoff_max` bounds the exponential backoff window
+/// (0 disables backoff; ablation A2).  `mo` overrides the orders of named
+/// sites (sim/mo_table.hpp) -- mutation sweeps only.
 [[nodiscard]] std::unique_ptr<SimQueue> make_sim_queue(
     Algo algo, Engine& engine, std::uint32_t capacity,
     double backoff_max = 1024, const MoTable* mo = nullptr);

@@ -45,6 +45,9 @@ class Backoff {
     if (window_ < params_.max_spins) window_ *= 2;
   }
 
+  /// One turn of a local spin-wait (a TATAS lock waiting for its flag).
+  void relax() noexcept { port::cpu_relax(); }
+
   /// Forget accumulated contention history (call after success).
   void reset() noexcept { window_ = params_.min_spins; }
 
@@ -65,6 +68,7 @@ class Backoff {
 class NullBackoff {
  public:
   void pause() noexcept { port::cpu_relax(); }
+  void relax() noexcept { port::cpu_relax(); }
   void reset() noexcept {}
 };
 

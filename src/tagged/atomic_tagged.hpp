@@ -54,7 +54,8 @@ class AtomicTagged {
   /// Unconditional swap (fetch_and_store); returns the previous value.
   /// Used by the Mellor-Crummey queue's tail claim, which by construction
   /// needs no counter discipline (the swap cannot spuriously succeed).
-  TaggedIndex exchange(TaggedIndex desired, std::memory_order order) noexcept {
+  TaggedIndex exchange(TaggedIndex desired, std::memory_order order,
+                       const char* /*site*/ = nullptr) noexcept {
     return TaggedIndex::from_bits(bits_.exchange(desired.bits(), order));
   }
 

@@ -207,14 +207,16 @@ TEST(LockBasedCrashSweep, SingleLockWedgesExactlyInTheLockHeldBand) {
   EXPECT_LT(wedged, sweep.points.size()) << "every crash step wedged";
 }
 
-/// Step `victim` until its label equals `label` (it has committed to, but
-/// not executed, the labelled operation), then crash-stop it there.
+/// Step `victim` until it reaches the access at site `label` (it has
+/// committed to, but not executed, that access), then crash-stop it there.
 void crash_at_label(sim::Engine& engine, std::uint32_t victim,
-                    std::string_view label) {
+                    const char* label) {
+  engine.freeze_at_label(victim, label);
   while (engine.step(victim)) {
-    if (engine.label(victim) == label) break;
+    if (std::string_view(engine.label(victim)) == label) break;
   }
-  ASSERT_EQ(engine.label(victim), label) << "victim never reached " << label;
+  ASSERT_EQ(std::string_view(engine.label(victim)), label)
+      << "victim never reached " << label;
   engine.crash(victim);
 }
 
@@ -267,7 +269,7 @@ TEST(LockBasedCrashDirected, TwoLockVictimDeadAtTailLockWedgesEnqueuersOnly) {
   const auto victim = engine.spawn(0, [&](sim::Proc& p) {
     return endless_enqueues(p, *queue, 0, victim_counts);
   });
-  crash_at_label(engine, victim, "T_HELD");
+  crash_at_label(engine, victim, "twolock.E5.tail_read");
 
   engine.spawn(0,
                [&](sim::Proc& p) { return endless_enqueues(p, *queue, 1, enq); });
@@ -296,7 +298,7 @@ TEST(LockBasedCrashDirected, TwoLockVictimDeadAtHeadLockWedgesDequeuersOnly) {
   const auto victim = engine.spawn(0, [&](sim::Proc& p) {
     return endless_dequeues(p, *queue, victim_counts);
   });
-  crash_at_label(engine, victim, "H_HELD");
+  crash_at_label(engine, victim, "twolock.D2.head_read");
 
   engine.spawn(0,
                [&](sim::Proc& p) { return endless_enqueues(p, *queue, 1, enq); });
@@ -319,7 +321,7 @@ TEST(LockBasedCrashDirected, McVictimDeadMidLinkWedgesDequeuersWithoutEmpty) {
   const auto victim = engine.spawn(0, [&](sim::Proc& p) {
     return endless_enqueues(p, *queue, 0, victim_counts);
   });
-  crash_at_label(engine, victim, "MC_LINK");
+  crash_at_label(engine, victim, "mc.link_store");
 
   engine.spawn(0, [&](sim::Proc& p) { return endless_dequeues(p, *queue, deq); });
   for (std::uint64_t i = 0; i < 20'000; ++i) {
@@ -505,6 +507,55 @@ TYPED_TEST(MsQueueFaults, StaleE9LinkCannotLandOnARecycledTail) {
   EXPECT_EQ(out, 7u);
   EXPECT_FALSE(queue.try_dequeue(out));
   EXPECT_EQ(queue.unsafe_free_nodes(), 2u);
+}
+
+TEST(RealThreadFaults, PljStaleLinkCannotLandOnAReallocatedUnlinkedNode) {
+  // PLJ's ABA window.  A snapshots Tail = X with X.next null and parks at
+  // plj.link.  X is dequeued and freed, then reallocated by enqueuer C,
+  // which parks before linking it.  Were C's null link to reset X's count,
+  // A's stale CAS would land on X -- a node outside the queue -- and A
+  // would return; a later enqueue by B would then be dequeued before A's
+  // acknowledged item.  The count is bumped instead, so A's CAS fails and
+  // A links behind the real Tail.  Two plans, because A is released while
+  // C stays parked.
+  fault::Watchdog watchdog(60s, "PLJ stale link on a reallocated node");
+  queues::PljQueue<std::uint64_t> queue(3);  // pool of 4 nodes
+  ASSERT_TRUE(queue.try_enqueue(1));         // X, now Tail
+
+  fault::FaultPlan plan_a;
+  plan_a.halt_at("plj.link");
+  plan_a.arm();
+  std::atomic<bool> acked{false};
+  std::thread a([&] { acked.store(queue.try_enqueue(7)); });
+  plan_a.wait_for_halted(1);
+
+  ASSERT_TRUE(queue.try_enqueue(2));  // linked behind X
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_dequeue(out));  // frees the dummy
+  ASSERT_EQ(out, 1u);
+  ASSERT_TRUE(queue.try_dequeue(out));  // frees X: the free list's top
+  ASSERT_EQ(out, 2u);
+  plan_a.disarm();
+
+  fault::FaultPlan plan_c;
+  plan_c.halt_at("plj.link");
+  plan_c.arm();
+  std::thread c([&] { EXPECT_TRUE(queue.try_enqueue(3)); });  // takes X
+  plan_c.wait_for_halted(1);
+
+  plan_a.release_halted();
+  a.join();
+  ASSERT_TRUE(acked.load());
+  ASSERT_TRUE(queue.try_enqueue(8));  // B, after A's acknowledgement
+
+  std::vector<std::uint64_t> order;
+  while (queue.try_dequeue(out)) order.push_back(out);
+  plan_c.release_halted();
+  c.join();
+  plan_c.disarm();
+  while (queue.try_dequeue(out)) order.push_back(out);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{7, 8, 3}))
+      << "the acknowledged 7 was overtaken by a later enqueue";
 }
 
 TEST(RealThreadFaults, TreiberSurvivorsCompleteWhileVictimHaltedMidPop) {

@@ -21,7 +21,9 @@
 // orderings are not an artefact of one parameter choice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "sim/workload.hpp"
 
@@ -32,13 +34,14 @@ constexpr std::uint64_t kPairs = 20'000;
 
 double net_time(Algo algo, std::uint32_t processors,
                 std::uint32_t procs_per_processor = 1,
-                const CostParams& cost = {}) {
+                const CostParams& cost = {}, std::uint64_t seed = 1) {
   SimRunConfig config;
   config.algo = algo;
   config.processors = processors;
   config.procs_per_processor = procs_per_processor;
   config.total_pairs = kPairs;
   config.cost = cost;
+  config.seed = seed;
   const SimRunResult result = run_sim_workload(config);
   return result.net;
 }
@@ -46,7 +49,7 @@ double net_time(Algo algo, std::uint32_t processors,
 TEST(Figure3Shape, MsWinsFromThreeProcessorsUp) {
   // MC is excluded here: our FAS-list reconstruction of TR 229 (one swap +
   // one store per enqueue vs. the MS queue's two CASes) is legitimately
-  // ~10-15% FASTER than MS on the dedicated simulator, unlike the curve in
+  // ~13-22% FASTER than MS on the dedicated simulator, unlike the curve in
   // the paper's Figure 3.  See EXPERIMENTS.md "Deviations".  The paper's
   // load-bearing MC claims -- blocking semantics and preemption
   // vulnerability -- are asserted in sim_liveness_test and
@@ -112,30 +115,30 @@ TEST(Figure45Shape, NonBlockingBeatsBlockingUnderMultiprogramming) {
   }
 }
 
+/// Median over seeds 1..kSeeds of net(p=6, level 3) / net(p=6, level 1).
+double median_degradation(Algo algo) {
+  constexpr std::uint64_t kSeeds = 12;
+  std::vector<double> ratios;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    ratios.push_back(net_time(algo, 6, 3, {}, seed) /
+                     net_time(algo, 6, 1, {}, seed));
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return (ratios[kSeeds / 2 - 1] + ratios[kSeeds / 2]) / 2;
+}
+
 TEST(Figure45Shape, McPaysForBlockingUnderFrequentPreemption) {
-  // The MC queue's weakness is its swap->link window: a preemption inside
-  // it stalls every dequeuer.  The window is instruction-scale, so its
-  // expected cost scales with preemption FREQUENCY; shrink the quantum and
-  // the blocking algorithm pays while the non-blocking one does not.
-  auto with_quantum = [](Algo algo, double quantum) {
-    SimRunConfig config;
-    config.algo = algo;
-    config.processors = 6;
-    config.procs_per_processor = 2;
-    config.total_pairs = kPairs;
-    config.quantum = quantum;
-    return run_sim_workload(config).net;
-  };
-  const double mc_coarse = with_quantum(Algo::kMc, 1e6);
-  const double mc_fine = with_quantum(Algo::kMc, 2e4);
-  const double ms_coarse = with_quantum(Algo::kMs, 1e6);
-  const double ms_fine = with_quantum(Algo::kMs, 2e4);
-  const double mc_penalty = mc_fine / mc_coarse;
-  const double ms_penalty = ms_fine / ms_coarse;
-  EXPECT_GT(mc_penalty, ms_penalty * 1.3)
-      << "frequent preemption must hurt the blocking MC queue more "
-      << "(mc: " << mc_coarse << " -> " << mc_fine << ", ms: " << ms_coarse
-      << " -> " << ms_fine << ")";
+  // The MC queue's weakness is its swap->link window: a process preempted
+  // inside it stalls every dequeuer until it runs again.  The paper's axis
+  // is the multiprogramming level (Figures 4 and 5): from dedicated to
+  // three processes per processor, the blocking MC queue must degrade
+  // clearly more than the non-blocking MS queue.  One seed is one draw of
+  // where the preemptions land, so the ratio is the median over seeds.
+  const double mc = median_degradation(Algo::kMc);
+  const double ms = median_degradation(Algo::kMs);
+  EXPECT_GT(mc, ms * 1.3)
+      << "multiprogramming must hurt the blocking MC queue more (median "
+      << "level-3/level-1 net time, mc: " << mc << ", ms: " << ms << ")";
 }
 
 TEST(Figure45Shape, BlockingDegradationGrowsWithMultiprogrammingLevel) {

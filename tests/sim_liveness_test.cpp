@@ -226,14 +226,14 @@ TEST(MsLiveness, HelpingPathsE12AndD9AreReachedAndComplete) {
 // --- PLJ and Valois: also non-blocking --------------------------------------
 
 TEST(PljLiveness, StalledLinkerDoesNotBlockOthers) {
-  const StallResult result = run_with_stall(Algo::kPlj, "PLJ_LINK", 30'000);
+  const StallResult result = run_with_stall(Algo::kPlj, "plj.link_cas", 30'000);
   ASSERT_TRUE(result.victim_frozen);
   EXPECT_GT(result.others.enqueues, 100u);
   EXPECT_GT(result.others.dequeues, 100u);
 }
 
 TEST(ValoisLiveness, StalledLinkerDoesNotBlockOthers) {
-  const StallResult result = run_with_stall(Algo::kValois, "V_LINK", 60'000);
+  const StallResult result = run_with_stall(Algo::kValois, "valois.link_cas", 60'000);
   ASSERT_TRUE(result.victim_frozen);
   EXPECT_GT(result.others.enqueues, 50u);
   EXPECT_GT(result.others.dequeues, 50u);
@@ -242,7 +242,7 @@ TEST(ValoisLiveness, StalledLinkerDoesNotBlockOthers) {
 // --- the blocking side ------------------------------------------------------
 
 TEST(SingleLockLiveness, StalledLockHolderBlocksEveryone) {
-  const StallResult result = run_with_stall(Algo::kSingleLock, "LOCK_HELD",
+  const StallResult result = run_with_stall(Algo::kSingleLock, "singlelock.alloc_top_read",
                                             30'000);
   ASSERT_TRUE(result.victim_frozen);
   // Others can neither enqueue nor dequeue: the lock never comes back.
@@ -273,7 +273,7 @@ TEST(TwoLockLiveness, StalledTailHolderBlocksEnqueuersOnly) {
   const auto victim = engine.spawn(0, [&](Proc& p) {
     return endless_enqueues(p, *queue, 0, victim_counts);
   });
-  engine.freeze_at_label(victim, "T_HELD");
+  engine.freeze_at_label(victim, "twolock.E5.tail_read");
   engine.spawn(0, [&](Proc& p) { return endless_enqueues(p, *queue, 1, enq_counts); });
   engine.spawn(0, [&](Proc& p) { return endless_dequeues(p, *queue, deq_counts); });
   for (std::uint64_t i = 0; i < 40'000; ++i) {
@@ -294,12 +294,12 @@ TEST(TwoLockLiveness, StalledHeadHolderBlocksDequeuersOnly) {
   const auto victim = engine.spawn(0, [&](Proc& p) {
     return endless_dequeues(p, *queue, victim_counts);
   });
-  // Give it something to dequeue so H_HELD is reached with work in hand.
+  // Give it something to dequeue so the head-lock window is reached with work in hand.
   const auto feeder = engine.spawn(0, [&](Proc& p) {
     return endless_enqueues(p, *queue, 5, enq_counts);
   });
   (void)feeder;
-  engine.freeze_at_label(victim, "H_HELD");
+  engine.freeze_at_label(victim, "twolock.D2.head_read");
   OpCounts other_deq;
   engine.spawn(0, [&](Proc& p) { return endless_dequeues(p, *queue, other_deq); });
   for (std::uint64_t i = 0; i < 40'000; ++i) {
@@ -325,11 +325,11 @@ TEST(McLiveness, StalledLinkerEventuallyBlocksDequeuers) {
   // Drive the victim directly into the mid-link window BEFORE the dequeuer
   // exists (otherwise early dequeues legitimately observe a truly empty
   // queue).
-  engine.freeze_at_label(victim, "MC_LINK");
+  engine.freeze_at_label(victim, "mc.link_store");
   while (engine.step(victim)) {
-    if (std::string(engine.label(victim)) == "MC_LINK") break;
+    if (std::string(engine.label(victim)) == "mc.link_store") break;
   }
-  ASSERT_EQ(std::string(engine.label(victim)), "MC_LINK");
+  ASSERT_EQ(std::string(engine.label(victim)), "mc.link_store");
   engine.spawn(0, [&](Proc& p) { return endless_dequeues(p, *queue, deq_counts); });
   for (std::uint64_t i = 0; i < 30'000; ++i) {
     if (!engine.step_random()) break;

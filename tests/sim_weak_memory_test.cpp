@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -29,7 +30,6 @@
 #include "sim/mo_table.hpp"
 #include "sim/queue_iface.hpp"
 #include "sim/shipped.hpp"
-#include "sim/sim_lock.hpp"
 
 namespace msq::sim {
 namespace {
@@ -217,25 +217,32 @@ TEST(SimWeakMemory, RelaxedSbStoreCaughtOnlyByStoreBufferMode) {
 
 // --- the hb-layer-only catch -------------------------------------------------
 
+// The shipped sync/tatas_lock.hpp over a simulated flag.
 struct LockWorld {
   Engine engine;
-  SimTatasLock lock;
+  SimBinding binding;
+  std::optional<SimTatasLock> lock;
   Addr counter;
 
   LockWorld(const MoTable* mo, bool weak)
       : engine(order_config(weak)),
-        lock(engine, /*backoff_max=*/0, mo),
+        binding{&engine, mo, /*backoff_max=*/0},
         counter(engine.memory().alloc(1)) {
+    const SimBinding::Scope scope(binding);
+    lock.emplace();
     for (int w = 0; w < 2; ++w) {
       engine.spawn(0, [this](Proc& p) { return worker(p); });
     }
   }
 
   void worker(Proc& p) {
-    lock.lock(p);
-    const std::uint64_t v = p.read(counter, check::MemOrder::kPlain);
-    p.write(counter, v + 1, check::MemOrder::kPlain);
-    lock.unlock(p);
+    p.shielded(&binding, [&] {
+      lock->lock();
+      const std::uint64_t v = p.read(counter, check::MemOrder::kPlain);
+      p.write(counter, v + 1, check::MemOrder::kPlain);
+      lock->unlock();
+      return true;
+    });
   }
 };
 

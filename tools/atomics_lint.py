@@ -37,11 +37,14 @@ explicit and justified at the site.  Four rules, over .hpp/.cpp files:
 4. no-volatile: `volatile` is banned -- it is not a synchronization
    primitive in C++.  Inline assembly (`asm volatile`) is exempt.
 
-5. site-binding: the simulator runs the shipped MS queue and free list
-   (src/sim/shipped.hpp) and knows each access by the site name the
-   shipped line passes.  Every ms.*/fl.* MSQ_MO_SITE row must be named on
-   exactly one line of src/queues/ms_queue.hpp + src/mem/freelist.hpp, and
-   every "ms.X.y" / "fl.y" literal there must name a row.
+5. site-binding: the simulator runs the shipped queues, free lists and
+   TATAS lock (src/sim/shipped.hpp) and knows each access by the site name
+   the shipped line passes -- its freeze label, race label and sweep key.
+   Over the shipped files (SHIPPED_SITE_FILES): every site literal
+   (ms., fl., mc., plj., valois., rc., lock., twolock., singlelock.;
+   MSQ_PROBE fault-site arguments excepted) is bound on exactly one line;
+   a literal whose prefix the MSQ_MO_SITE table owns (ms., fl., lock.,
+   valois.) must name a row; and every row of those prefixes is bound.
 
 Known limits (by design, this is a grep-class linter, not a parser):
 operator sugar on atomics (`++x`, `x = v`) and `atomic_flag::clear()` are
@@ -263,26 +266,41 @@ def check_no_volatile(path, lines, out):
                 "std::atomic with an explicit order"))
 
 
-SHIPPED_SITE_FILES = ("src/queues/ms_queue.hpp", "src/mem/freelist.hpp")
-# "ms.E9.link_cas", "fl.pop_top" -- not the two-part fault probes ("ms.E9").
-BINDING_RE = re.compile(r'"(ms\.[A-Za-z0-9]+\.[A-Za-z0-9_]+|fl\.[A-Za-z0-9_]+)"')
+SHIPPED_SITE_FILES = (
+    "src/queues/ms_queue.hpp", "src/mem/freelist.hpp",
+    "src/queues/mellor_crummey_queue.hpp", "src/queues/plj_queue.hpp",
+    "src/queues/valois_queue.hpp", "src/mem/refcount_pool.hpp",
+    "src/queues/two_lock_queue.hpp", "src/queues/single_lock_queue.hpp",
+    "src/sync/tatas_lock.hpp",
+)
+SITE_PREFIXES = ("ms", "fl", "mc", "plj", "valois", "rc", "lock", "twolock",
+                 "singlelock")
+# Prefixes whose every site is a row of the memory-order table.
+ROW_PREFIXES = ("ms.", "fl.", "lock.", "valois.")
+BINDING_RE = re.compile(
+    r'"((?:' + "|".join(SITE_PREFIXES) + r')\.[A-Za-z0-9_.]+)"')
+# Fault-site probes ("ms.E9", "twolock.T_held") are not access sites.
+PROBE_ARG_RE = re.compile(r'MSQ_PROBE(?:_COUNT)?\(\s*"[^"]*"')
 
 
 def check_site_bindings(files, sites, out):
     """`files`: {path: lines} of the shipped sources; `sites`: the table's
-    site names.  Each ms./fl. site must be bound on exactly one line, and
-    each binding must name a site."""
+    site names.  Each site literal must be bound on exactly one line, each
+    literal of a table-owned prefix must name a row, and each row of those
+    prefixes must be bound."""
     lines_of = {}
     for path, lines in files.items():
         for i, line in enumerate(lines):
-            for name in set(BINDING_RE.findall(strip_comment(line))):
+            code = PROBE_ARG_RE.sub("", strip_comment(line))
+            for name in set(BINDING_RE.findall(code)):
                 lines_of.setdefault(name, []).append((path, i + 1))
-                if name not in sites:
+                if name.startswith(ROW_PREFIXES) and name not in sites:
                     out.append(Violation(
                         path, i + 1, "site-binding",
                         f"'{name}' is not an MSQ_MO_SITE row in "
                         f"src/sim/mo_table.hpp"))
-    for name in sorted(s for s in sites if s.startswith(("ms.", "fl."))):
+    rows = {s for s in sites if s.startswith(ROW_PREFIXES)}
+    for name in sorted(rows | set(lines_of)):
         where = lines_of.get(name, [])
         if len(where) != 1:
             places = ", ".join(f"{p}:{n}" for p, n in where) or "nowhere"
@@ -443,9 +461,14 @@ def self_test():
         if unexpected:
             failures.append(f"bad proof snippet ({name}) also tripped: " +
                             "; ".join(str(v) for v in unexpected))
-    sites = {"ms.E9.link_cas", "fl.push_cas", "sb.store_flag"}
+    sites = {"ms.E9.link_cas", "fl.push_cas", "lock.spin_load",
+             "sb.store_flag"}
     bound_once = ['x.compare_and_swap(a, b, o, "ms.E9.link_cas");',
-                  'top_.compare_and_swap(a, b, o, "fl.push_cas");']
+                  'top_.compare_and_swap(a, b, o, "fl.push_cas");',
+                  'while (f.load(o, "lock.spin_load")) {',
+                  'MSQ_PROBE_COUNT("ms.E9", kCasAttempt);',
+                  'MSQ_PROBE("lock.held");',
+                  'tail_.get("twolock.E5.tail_read");']
     got = []
     check_site_bindings({"ms_queue.hpp": bound_once}, sites, got)
     if got:
@@ -454,9 +477,13 @@ def self_test():
     bad_bindings = {
         "site bound on two lines":
             bound_once + ['y.compare_and_swap(a, b, o, "ms.E9.link_cas");'],
-        "site bound nowhere": bound_once[:1],
+        "site bound nowhere": bound_once[1:],
         "binding names an unknown site":
             bound_once + ['y.load(o, "ms.E99.no_such_site");'],
+        "lock binding names an unknown site":
+            bound_once + ['f.store(v, o, "lock.no_such_site");'],
+        "row-less site bound on two lines":
+            bound_once + ['head_.get("twolock.E5.tail_read");'],
     }
     for name, text in bad_bindings.items():
         got = []
@@ -468,7 +495,7 @@ def self_test():
         print(f"self-test FAIL: {f}", file=sys.stderr)
     if not failures:
         print("self-test ok: clean snippets pass, all 4 seeded rule "
-              "violations, all 3 seeded proof violations and all 3 seeded "
+              "violations, all 3 seeded proof violations and all 5 seeded "
               "site-binding violations detected")
     return 1 if failures else 0
 

@@ -1,8 +1,9 @@
 // Memory-order mutation sweep: the machine-checked proof behind every
 // annotation in sim/mo_table.hpp.
 //
-// The MS and pool worlds run the shipped queues/ms_queue.hpp and
-// mem/freelist.hpp (sim/shipped.hpp), so the ms.* and fl.* sites are
+// The MS, pool, lock and Valois worlds run the shipped queues/ms_queue.hpp,
+// mem/freelist.hpp, sync/tatas_lock.hpp and queues/valois_queue.hpp
+// (sim/shipped.hpp), so the ms.*, fl.*, lock.* and valois.* sites are
 // weakened from the orders those lines pass, which the unmutated baseline
 // runs record; every such site must be reached there.
 //
@@ -52,8 +53,6 @@
 #include "sim/queue_iface.hpp"
 #include "sim/scq_ring_sim.hpp"
 #include "sim/shipped.hpp"
-#include "sim/sim_lock.hpp"
-#include "sim/valois_queue_sim.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::sim {
@@ -234,8 +233,11 @@ class LockWorld final : public WorldBase {
  public:
   LockWorld(const MoTable* mo, bool weak)
       : engine_(sweep_config(weak, check::SyncModel::kOrders)),
-        lock_(engine_, /*backoff_max=*/0, mo),
+        binding_{&engine_, mo, /*backoff_max=*/0},
         counter_(engine_.memory().alloc(1)) {
+    binding_.seen = g_seen;
+    const SimBinding::Scope scope(binding_);
+    lock_.emplace();
     for (int w = 0; w < 2; ++w) {
       engine_.spawn(0, [this](Proc& p) { return worker(p); });
     }
@@ -252,14 +254,18 @@ class LockWorld final : public WorldBase {
 
  private:
   void worker(Proc& p) {
-    lock_.lock(p);
-    const std::uint64_t v = p.read(counter_, check::MemOrder::kPlain);
-    p.write(counter_, v + 1, check::MemOrder::kPlain);
-    lock_.unlock(p);
+    p.shielded(&binding_, [&] {
+      lock_->lock();
+      const std::uint64_t v = p.read(counter_, check::MemOrder::kPlain);
+      p.write(counter_, v + 1, check::MemOrder::kPlain);
+      lock_->unlock();
+      return true;
+    });
   }
 
   Engine engine_;
-  SimTatasLock lock_;
+  SimBinding binding_;
+  std::optional<SimTatasLock> lock_;
   Addr counter_;
 };
 
@@ -270,6 +276,7 @@ class ValoisWorld final : public WorldBase {
       : engine_(sweep_config(weak, check::SyncModel::kOrders)),
         queue_(engine_, /*capacity=*/2, /*backoff_max=*/0, mo),
         payload_(engine_.memory().alloc(2)) {
+    queue_.binding().seen = g_seen;
     engine_.spawn(0, [this](Proc& p) { return producer(p); });
     for (const int attempts : consumer_attempts) {
       engine_.spawn(0,
@@ -306,7 +313,7 @@ class ValoisWorld final : public WorldBase {
   }
 
   Engine engine_;
-  SimValoisQueue queue_;
+  ShippedValoisQueue queue_;
   Addr payload_;
   bool bad_payload_ = false;
 };
@@ -613,7 +620,7 @@ int main() {
   }
 
   // The order each site is weakened from: the table's for the hand models,
-  // the one the shipped line passed for ms.* and fl.*.
+  // the one the shipped line passed for the shipped-code sites.
   auto base_order = [&](const MoSite& site) -> std::optional<MemOrder> {
     if (site.annotated) return site.annotated;
     for (const auto& [name, order] : seen) {
